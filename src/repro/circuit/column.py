@@ -67,6 +67,12 @@ _MIN_CONDUCTION = 1e-6
 #: entries are dropped first.
 _ENS_CACHE_MAX = 4096
 
+#: Cap on the memo of a batch with private stacks (the march runner's):
+#: enough for the phase configurations one pool repeats.  Each entry
+#: holds a stack of member propagators; on the ``screen`` benchmark
+#: sample 16 entries add ~0.5 MB of peak RSS over no memo, 32 ~0.9 MB.
+_PRIVATE_MEMO_MAX = 16
+
 
 def _phase_name(
     active_row: Optional[int],
@@ -853,7 +859,18 @@ class GridBatch:
     strategy.  Only solver guard trips (``"guard"``) demote: the affected
     member is sliced out of the point pool and recorded in :attr:`demoted`
     by its original index, and the caller re-runs it through the scalar
-    path, which stays the bit-exact oracle.
+    path, which stays the bit-exact oracle.  A caller that is done with
+    some members (a march whose every lane has already failed) drops them
+    with :meth:`retire`, which is not a demotion.
+
+    ``shared_stacks=False`` keeps the stacked propagators private: they
+    skip the process-global ensemble cache, and the batch's own memo of
+    built ensembles (``ens_cache`` is then not shared) holds at most
+    ``_PRIVATE_MEMO_MAX`` entries and is emptied whenever members leave
+    the pool.  Member propagators still resolve through the scalar
+    propagator cache.  The march runner sets it: a march repeats few
+    phase configurations per pool, its pools shrink as members retire,
+    and stacks kept beyond that would only hold memory.
     """
 
     def __init__(
@@ -865,6 +882,7 @@ class GridBatch:
         point_lanes: Optional[Sequence[Sequence[int]]] = None,
         ens_cache: Optional[Dict[tuple, "NetworkEnsemble"]] = None,
         plan_cache: Optional[Dict[tuple, _PhasePlan]] = None,
+        shared_stacks: bool = True,
     ) -> None:
         defect = column.defect
         if not isinstance(defect, OpenDefect):
@@ -951,6 +969,10 @@ class GridBatch:
         self._ens_cache: Dict[tuple, NetworkEnsemble] = (
             ens_cache if ens_cache is not None else {}
         )
+        self._shared_stacks = shared_stacks
+        self._ens_cache_max = (
+            _ENS_CACHE_MAX if shared_stacks else _PRIVATE_MEMO_MAX
+        )
         self._pool_token: Optional[tuple] = None
         net = column.net
         self._i_bc = net.node_index("bc")
@@ -992,7 +1014,25 @@ class GridBatch:
         for m in doomed:
             self.demoted[m] = reason
         telemetry.count("column.grid_demotions", len(doomed))
-        keep = ~np.isin(self._pt_member, doomed)
+        self._drop_members(doomed)
+
+    def retire(self, members) -> None:
+        """Drop finished members from the pool without demoting them.
+
+        Unlike a guard-trip demotion nothing is recorded in
+        :attr:`demoted`: the caller already holds the members' results
+        and needs no scalar re-run.  Members not in the pool are ignored.
+        """
+        done = sorted({int(m) for m in members}.intersection(
+            self.active_members
+        ))
+        if not done:
+            return
+        telemetry.count("column.grid_retired", len(done))
+        self._drop_members(done)
+
+    def _drop_members(self, members: List[int]) -> None:
+        keep = ~np.isin(self._pt_member, members)
         self.V = self.V[:, keep]
         self._pt_member = self._pt_member[keep]
         self._pt_lane = self._pt_lane[keep]
@@ -1002,6 +1042,9 @@ class GridBatch:
         self._mp_cache = None
         self._g1_cache = None
         self._pool_token = None
+        if not self._shared_stacks:
+            # Every memo key names the old pool: none can hit again.
+            self._ens_cache.clear()
 
     def snapshot(self) -> tuple:
         """Copy of the mutable execution state of an undemoted batch.
@@ -1229,6 +1272,7 @@ class GridBatch:
                     tuple(int(l) for l in self._pt_lane[idx])
                     for _, idx in groups
                 ],
+                stacked_cache=self._shared_stacks,
             )
             for a, b, base, weighted, post in plan.connects:
                 if weighted:
@@ -1257,7 +1301,7 @@ class GridBatch:
                         )
                         ens.drive_member(g, plan.sa_node, rail, r_sa)
                         ens.drive_member(g, "bc", t.vdd - rail, r_sa)
-            if len(self._ens_cache) >= _ENS_CACHE_MAX:
+            if len(self._ens_cache) >= self._ens_cache_max:
                 self._ens_cache.pop(next(iter(self._ens_cache)))
             self._ens_cache[ens_key] = ens
         try:

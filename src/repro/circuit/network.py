@@ -836,14 +836,15 @@ class NetworkEnsemble:
     propagators are resolved *through* the scalar propagator cache — the
     grid and scalar engines share one source of truth and therefore stay
     bit-identical — and the assembled ``(N, n, n)`` stack is memoized in
-    the ensemble cache (:func:`ensemble_cache_info`).  Members whose
-    propagators all miss are exponentiated together via
-    :func:`_expm_stack`.
+    the ensemble cache (:func:`ensemble_cache_info`) unless
+    ``stacked_cache`` is off.  Members whose propagators all miss are
+    exponentiated together via :func:`_expm_stack`.
     """
 
     def __init__(
         self, host: Network, n_members: int, member_meta=None,
         member_lanes: Optional[Sequence[Tuple[int, ...]]] = None,
+        stacked_cache: bool = True,
     ) -> None:
         if n_members < 0:
             raise ValueError("n_members must be non-negative")
@@ -861,6 +862,9 @@ class NetworkEnsemble:
         #: state, so a member's columns are a *subset* of the sweep's U
         #: lanes and injectors need the mapping to target one point.
         self._member_lanes = member_lanes
+        #: Whether assembled stacks go through the ensemble cache; off,
+        #: only the scalar propagator cache is consulted.
+        self._stacked_cache = stacked_cache
         self._shared_edges: List[Tuple[int, int, float]] = []
         self._shared_drivers: List[Tuple[int, float, float]] = []
         self._member_edges: List[List[Tuple[int, int, float]]] = [
@@ -1004,7 +1008,7 @@ class NetworkEnsemble:
             return memo[0], memo[1], {}
         member_keys = self._member_keys(duration)
         key = (member_keys,)
-        cached = _ENSEMBLES.lookup(key)
+        cached = _ENSEMBLES.lookup(key) if self._stacked_cache else None
         if cached is not None:
             phis, offs = cached
             self._prop_memo[duration] = (phis, offs)
@@ -1050,7 +1054,8 @@ class NetworkEnsemble:
         phis.setflags(write=False)
         offs.setflags(write=False)
         if all_finite:
-            _ENSEMBLES.store(key, (phis, offs))
+            if self._stacked_cache:
+                _ENSEMBLES.store(key, (phis, offs))
             self._prop_memo[duration] = (phis, offs)
         return phis, offs, bad
 

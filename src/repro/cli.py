@@ -153,8 +153,12 @@ _EXPERIMENTS: Dict[str, Callable[[int, object, object, bool, bool], object]] = {
     "ablation": lambda jobs, res, gp, mg, ge: ablation.run_ablation(),
     "bridges": lambda jobs, res, gp, mg, ge: bridges.run_bridges(),
     "retention": lambda jobs, res, gp, mg, ge: retention.run_retention(),
-    "escapes": lambda jobs, res, gp, mg, ge: escapes.run_escapes(),
-    "diagnosis": lambda jobs, res, gp, mg, ge: diagnosis.run_diagnosis(),
+    "escapes": lambda jobs, res, gp, mg, ge: escapes.run_escapes(
+        grid_engine=ge
+    ),
+    "diagnosis": lambda jobs, res, gp, mg, ge: diagnosis.run_diagnosis(
+        grid_engine=ge
+    ),
 }
 
 #: Experiments with a worker-process fan-out: ``--jobs`` and the
@@ -165,10 +169,12 @@ _FANNED = frozenset({"fig3", "fig4", "table1", "march"})
 #: touch the analog solver, or only through these).
 _GUARDED = frozenset({"fig3", "fig4", "table1", "march"})
 
-#: Experiments whose sweeps route through the vectorized grid engine
-#: (``--no-grid-engine`` applies to these; march stays per-point because
-#: its early-exit detection is data-dependent per grid point).
-_GRIDDED = frozenset({"fig3", "fig4", "table1"})
+#: Experiments that route through the vectorized grid engine
+#: (``--no-grid-engine`` applies to these): the sweeps stack the
+#: ``(R_def, U)`` grid, escapes and diagnosis stack their defect
+#: populations as lane-stacked march runs.  The ``march`` experiment's
+#: cross-validation still runs one defect point per work unit.
+_GRIDDED = frozenset({"diagnosis", "escapes", "fig3", "fig4", "table1"})
 
 
 def _derived_metrics(registry: telemetry.MetricsRegistry) -> Dict[str, object]:
@@ -1005,9 +1011,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-grid-engine",
         action="store_true",
-        help="disable the vectorized (R_def, U) grid solver and run the "
-        "scalar/U-batch path instead (ablation/debug; the output is "
-        "identical, see docs/PERFORMANCE.md)",
+        help="disable the vectorized grid solver ((R_def, U) sweeps and "
+        "lane-stacked march populations) and run the scalar/U-batch path "
+        "instead (ablation/debug; the output is identical, see "
+        "docs/PERFORMANCE.md)",
     )
     args = parser.parse_args(argv)
     if args.jobs < 1:

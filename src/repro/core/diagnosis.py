@@ -25,7 +25,12 @@ from ..circuit.defects import FloatingNode, OpenDefect, OpenLocation
 from ..circuit.technology import Technology
 from ..march.library import MARCH_PF_PLUS
 from ..march.notation import MarchTest
-from ..march.simulator import run_march
+from ..march.simulator import (
+    MarchResult,
+    rail_presets,
+    run_march,
+    run_march_lanes,
+)
 from ..memory.simulator import ElectricalMemory
 from .analysis import _R_RANGES
 
@@ -37,9 +42,6 @@ __all__ = [
     "EQUIVALENCE_CLASSES",
     "equivalence_class",
 ]
-
-#: The two floating presets used to stimulate partial faults.
-_PRESETS = (0.0, 3.3)
 
 #: Electrically indistinguishable location groups.  Several opens float
 #: the *same* node (the SA-side bit-line section for Opens 3-6; the
@@ -136,7 +138,13 @@ def _jaccard(a: Signature, b: Signature) -> float:
 
 
 class SignatureDatabase:
-    """Fault dictionary: signatures of simulated defects."""
+    """Fault dictionary: signatures of simulated defects.
+
+    The dictionary is built in one lane-stacked march run over every
+    entry (:func:`~repro.march.simulator.run_march_lanes`);
+    ``grid_engine=False`` simulates one defect at a time instead, with
+    identical signatures.
+    """
 
     def __init__(
         self,
@@ -145,18 +153,26 @@ class SignatureDatabase:
         n_rows: int = 3,
         points_per_decade: int = 2,
         locations: Optional[Sequence[OpenLocation]] = None,
+        grid_engine: bool = True,
     ) -> None:
         self.test = test
         self.technology = technology
         self.n_rows = n_rows
+        self.grid_engine = grid_engine
         self._entries: List[Tuple[Signature, OpenLocation, float]] = []
         self._build(points_per_decade, locations or tuple(OpenLocation))
+
+    @property
+    def presets(self) -> Tuple[float, float]:
+        """The two floating presets that stimulate partial faults."""
+        return rail_presets(self.technology)
 
     # -- construction ---------------------------------------------------------
 
     def _build(
         self, points_per_decade: int, locations: Sequence[OpenLocation]
     ) -> None:
+        defects: List[OpenDefect] = []
         for location in locations:
             lo, hi = _R_RANGES[location]
             decades = math.log10(hi) - math.log10(lo)
@@ -165,28 +181,49 @@ class SignatureDatabase:
                 log_r = math.log10(lo) + i * (math.log10(hi) - math.log10(lo)) / (
                     n_points - 1
                 )
-                resistance = 10 ** log_r
-                signature = self.signature_of(
-                    OpenDefect(location, resistance)
+                defects.append(OpenDefect(location, 10 ** log_r))
+        for defect, signature in zip(defects, self.signatures_of(defects)):
+            if signature:
+                self._entries.append(
+                    (signature, defect.location, defect.resistance)
                 )
-                if signature:
-                    self._entries.append((signature, location, resistance))
+
+    def _signature(self, results: Sequence[MarchResult]) -> Signature:
+        """Normalize one device's per-preset march results."""
+        return frozenset(
+            (preset, m.element_index, m.address, m.op_index, m.observed)
+            for preset, result in zip(self.presets, results)
+            for m in result.mismatches
+        )
 
     def signature_of(self, defect: Optional[OpenDefect]) -> Signature:
-        """Collect the diagnostic signature of a (possibly absent) defect."""
-        fails: List[Tuple[float, int, int, int, int]] = []
-        for preset in _PRESETS:
+        """Collect the diagnostic signature of a (possibly absent) defect.
+
+        Runs the scalar electrical memory, one preset at a time.
+        """
+        results = []
+        for preset in self.presets:
             memory = ElectricalMemory.with_defect(
                 defect=defect, technology=self.technology, n_rows=self.n_rows
             )
             for node in FloatingNode:
                 memory.column.set_floating_voltage(node, preset)
-            result = run_march(self.test, memory)
-            fails.extend(
-                (preset, m.element_index, m.address, m.op_index, m.observed)
-                for m in result.mismatches
+            results.append(run_march(self.test, memory))
+        return self._signature(results)
+
+    def signatures_of(
+        self, defects: Sequence[Optional[OpenDefect]]
+    ) -> List[Signature]:
+        """Signatures of many devices, in one lane-stacked march run."""
+        if not self.grid_engine:
+            return [self.signature_of(defect) for defect in defects]
+        return [
+            self._signature(results)
+            for results in run_march_lanes(
+                self.test, defects, self.presets, self.technology,
+                self.n_rows,
             )
-        return frozenset(fails)
+        ]
 
     # -- lookup ----------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..circuit.defects import OpenDefect, OpenLocation
 from ..circuit.technology import Technology
@@ -45,31 +45,51 @@ def run_diagnosis(
     n_trials: int = 24,
     seed: int = 7,
     points_per_decade: int = 2,
+    grid_engine: bool = True,
+    locations: Optional[Sequence[OpenLocation]] = None,
 ) -> DiagnosisExperimentResult:
-    """Build the fault dictionary and measure diagnosis accuracy."""
+    """Build the fault dictionary and measure diagnosis accuracy.
+
+    The dictionary and the trials each run as one lane-stacked march
+    (:meth:`SignatureDatabase.signatures_of`); ``grid_engine=False``
+    simulates one device at a time, with an identical report.
+    ``locations`` restricts both the dictionary and the injected defects
+    (default: all nine opens).
+    """
     report = ExperimentReport(
         "Extension — defect diagnosis from fail signatures"
     )
+    opens = tuple(locations or OpenLocation)
     database = SignatureDatabase(
-        technology=technology, points_per_decade=points_per_decade
+        technology=technology, points_per_decade=points_per_decade,
+        locations=opens, grid_engine=grid_engine,
+    )
+    scope = (
+        "all nine opens" if locations is None else f"{len(opens)} opens"
     )
     report.add_block(
         f"fault dictionary: {database.size} signatures "
-        f"({points_per_decade} points/decade over all nine opens)"
+        f"({points_per_decade} points/decade over {scope})"
     )
 
     rng = random.Random(seed)
-    rows: List[Tuple[str, str, str, str]] = []
-    hits = 0
-    trials = 0
-    benign = 0
+    injected: List[OpenDefect] = []
     for _ in range(n_trials):
-        location = rng.choice(list(OpenLocation))
+        location = rng.choice(opens)
         lo, hi = _R_RANGES[location]
         resistance = 10 ** rng.uniform(
             math.log10(lo * 2), math.log10(hi / 2)
         )
-        result = database.diagnose_defect(OpenDefect(location, resistance))
+        injected.append(OpenDefect(location, resistance))
+    rows: List[Tuple[str, str, str, str]] = []
+    hits = 0
+    trials = 0
+    benign = 0
+    for defect, signature in zip(
+        injected, database.signatures_of(injected)
+    ):
+        location, resistance = defect.location, defect.resistance
+        result = database.diagnose(signature)
         if result.healthy:
             benign += 1
             continue

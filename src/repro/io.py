@@ -185,6 +185,7 @@ def load_signature_database(data: Dict[str, Any]) -> SignatureDatabase:
     database.test = load_march(data["test"])
     database.technology = None
     database.n_rows = data["n_rows"]
+    database.grid_engine = True
     database._entries = [
         (
             frozenset(tuple(item) for item in entry["signature"]),

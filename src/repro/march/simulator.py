@@ -5,6 +5,15 @@
 machines, the electrical column model) and reports every read whose value
 differs from the march-expected one.
 
+:func:`run_march_lanes` runs one march over a whole population of open
+defects on the electrical model at once: a march applies the same
+operation schedule to every defect and only records read mismatches, so
+defects at one location advance in lock-step as members of a
+:class:`~repro.circuit.column.GridBatch`, with the floating presets as
+lanes.  Its results equal :func:`run_march` on each defect's
+:class:`~repro.memory.simulator.ElectricalMemory`, which stays the
+oracle.
+
 :func:`detects` qualifies *guaranteed* detection of a behavioural fault:
 the paper's floating voltages mean a defective memory's initial state is
 unknown, so the test must fail for **every** initial floating-node value,
@@ -14,19 +23,27 @@ every victim location and both resolutions of ``⇕`` elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .. import telemetry
+from ..circuit.column import DRAMColumn, GridBatch
+from ..circuit.defects import FloatingNode, OpenDefect, OpenLocation
+from ..circuit.technology import Technology, default_technology
+from ..circuit.wordline import WordLineGate
 from ..core.fault_primitives import FaultPrimitive
 from ..memory.array import Topology
 from ..memory.fault_machine import BehavioralFault, NodeKind
-from ..memory.simulator import FaultyMemory
+from ..memory.simulator import ElectricalMemory, FaultyMemory
 from .notation import Direction, MarchPause, MarchTest
 
 __all__ = [
     "Mismatch",
     "MarchResult",
     "run_march",
+    "run_march_lanes",
+    "rail_presets",
     "detects",
     "escape_cases",
     "detects_coupling",
@@ -103,6 +120,212 @@ def run_march(
     telemetry.count("march.runs")
     telemetry.count("march.operations", operations)
     return MarchResult(test.name, tuple(mismatches), operations)
+
+
+def rail_presets(
+    technology: Optional[Technology] = None,
+) -> Tuple[float, float]:
+    """The two floating presets that bound the reachable states: every
+    floating node at ground, or at the technology's supply rail."""
+    return (0.0, (technology or default_technology()).vdd)
+
+
+def _run_point(
+    test: MarchTest,
+    defect,
+    preset: float,
+    technology: Optional[Technology],
+    n_rows: int,
+    stop_at_first: bool,
+    either_as: Direction,
+) -> MarchResult:
+    """The scalar oracle: one defect, every floating node at ``preset``."""
+    memory = ElectricalMemory.with_defect(
+        defect=defect, technology=technology, n_rows=n_rows,
+        floating=dict.fromkeys(FloatingNode, preset),
+    )
+    return run_march(
+        test, memory, either_as=either_as, stop_at_first=stop_at_first
+    )
+
+
+def run_march_lanes(
+    test: MarchTest,
+    defects: Sequence[Optional[OpenDefect]],
+    presets: Sequence[float],
+    technology: Optional[Technology] = None,
+    n_rows: int = 3,
+    stop_at_first: bool = False,
+    either_as: Direction = Direction.UP,
+) -> List[Tuple[MarchResult, ...]]:
+    """Run a march over a defect population, under every floating preset.
+
+    ``results[i][j]`` is the :class:`MarchResult` of ``defects[i]`` with
+    every floating node preset to ``presets[j]``: the same value
+    :func:`run_march` returns on that defect's
+    :class:`~repro.memory.simulator.ElectricalMemory`, first mismatch and
+    ``operations`` included, and the ``march.*`` counters advance as if
+    it had run.
+
+    Open defects sharing ``(location, row)`` run as one
+    :class:`~repro.circuit.column.GridBatch`: members are the
+    resistances, lanes the presets.  A word-line open puts its resistance
+    in the gate dynamics, so there every ``(defect, preset)`` point is a
+    width-1 member with a private gate.  With ``stop_at_first`` a member
+    retires once all its lanes have failed.  Everything the batch cannot
+    carry runs through :func:`run_march` per point: members demoted by a
+    solver guard trip, tests with ``Del`` elements (the batch has no idle
+    leakage), and defects that are not true-line opens (``None`` is the
+    healthy device).
+    """
+    if not presets:
+        return [() for _ in defects]
+    results: List[List[Optional[MarchResult]]] = [
+        [None] * len(presets) for _ in defects
+    ]
+    groups: Dict[Tuple[OpenLocation, int], List[int]] = {}
+    for i, defect in enumerate(defects):
+        if (
+            not test.pauses
+            and isinstance(defect, OpenDefect)
+            and defect.on_true_line
+        ):
+            groups.setdefault((defect.location, defect.row), []).append(i)
+            continue
+        for j, preset in enumerate(presets):
+            results[i][j] = _run_point(
+                test, defect, preset, technology, n_rows, stop_at_first,
+                either_as,
+            )
+    for indices in groups.values():
+        group = [defects[i] for i in indices]
+        lane_results = _run_group(
+            test, group, presets, technology, n_rows, stop_at_first,
+            either_as,
+        )
+        for (g, j), result in lane_results.items():
+            results[indices[g]][j] = result
+    return [tuple(row) for row in results]
+
+
+def _run_group(
+    test: MarchTest,
+    defects: List[OpenDefect],
+    presets: Sequence[float],
+    technology: Optional[Technology],
+    n_rows: int,
+    stop_at_first: bool,
+    either_as: Direction,
+) -> Dict[Tuple[int, int], MarchResult]:
+    """Lock-step march over same-``(location, row)`` opens.
+
+    Returns the result per ``(defect index, preset index)``.
+    """
+    row = defects[0].row
+    host = DRAMColumn(technology, n_rows=n_rows, defect=defects[0])
+    states, gate_inits = [], []
+    for preset in presets:
+        host.reset({})
+        for node in FloatingNode:
+            host.set_floating_voltage(node, preset)
+        states.append(host.net.state_vector())
+        gate_inits.append(host.gate_voltage(row))
+    host.reset({})
+    n_presets = len(presets)
+    # slots[m][k]: the (defect, preset) point of member m, lane k.
+    if defects[0].location is OpenLocation.WORD_LINE:
+        points = [
+            (i, j) for i in range(len(defects)) for j in range(n_presets)
+        ]
+        slots = [[point] for point in points]
+        batch = GridBatch(
+            host,
+            [defects[i].resistance for i, _ in points],
+            np.stack([states[j] for _, j in points])[:, :, None],
+            member_gates=[
+                {row: WordLineGate(
+                    host.tech.c_wl_gate, defects[i].resistance, gate_inits[j]
+                )}
+                for i, j in points
+            ],
+            point_lanes=[[j] for _, j in points],
+            shared_stacks=False,
+        )
+    else:
+        slots = [
+            [(i, j) for j in range(n_presets)] for i in range(len(defects))
+        ]
+        batch = GridBatch(
+            host,
+            [d.resistance for d in defects],
+            np.stack(states, axis=1),
+            shared_stacks=False,
+        )
+    n_lanes = batch.n_lanes
+    found: Dict[Tuple[int, int], List[Mismatch]] = {}
+    #: (member, lane) -> (operations, elements entered) at its first fail
+    stopped: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+    def read(ei: int, address: int, oi: int, expected: int,
+             operations: int) -> None:
+        """Read every point; record each point's mismatches (up to its
+        first one under ``stop_at_first``, then retire finished members)."""
+        observed = batch.read(address)
+        members = batch.active_members
+        for r, k in zip(*np.nonzero(observed != expected)):
+            point = (members[r], int(k))
+            if point in stopped:
+                continue
+            found.setdefault(point, []).append(
+                Mismatch(ei, address, oi, expected, int(observed[r, k]))
+            )
+            if stop_at_first:
+                stopped[point] = (operations, ei + 1)
+        if stop_at_first:
+            batch.retire(
+                m for m in members
+                if all((m, k) in stopped for k in range(n_lanes))
+            )
+
+    def execute() -> int:
+        operations = 0
+        for ei, element in enumerate(test.elements):
+            for address in element.addresses(n_rows, either_as):
+                for oi, op in enumerate(element.ops):
+                    operations += 1
+                    if op.is_write:
+                        batch.write(address, op.value)
+                    else:
+                        read(ei, address, oi, op.value, operations)
+                    if not batch.n_members:
+                        return operations
+            batch.precharge_cycle()
+        return operations
+
+    operations = execute()
+    out: Dict[Tuple[int, int], MarchResult] = {}
+    counts = [0, 0, 0]  # runs, operations, elements applied
+    for m, member_slots in enumerate(slots):
+        for k, (i, j) in enumerate(member_slots):
+            if m in batch.demoted:
+                out[i, j] = _run_point(
+                    test, defects[i], presets[j], technology, n_rows,
+                    stop_at_first, either_as,
+                )
+                continue
+            ops, elements = stopped.get(
+                (m, k), (operations, len(test.elements))
+            )
+            out[i, j] = MarchResult(
+                test.name, tuple(found.get((m, k), ())), ops
+            )
+            counts[0] += 1
+            counts[1] += ops
+            counts[2] += elements
+    telemetry.count("march.runs", counts[0])
+    telemetry.count("march.operations", counts[1])
+    telemetry.count("march.elements_applied", counts[2])
+    return out
 
 
 def _scenarios(

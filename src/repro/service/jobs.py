@@ -137,6 +137,18 @@ def _run_march(spec: "JobSpec", resilience: Any) -> Any:
     )
 
 
+def _run_escapes(spec: "JobSpec", resilience: Any) -> Any:
+    from ..experiments.escapes import run_escapes
+
+    return run_escapes(grid_engine=spec.grid_engine)
+
+
+def _run_diagnosis(spec: "JobSpec", resilience: Any) -> Any:
+    from ..experiments.diagnosis import run_diagnosis
+
+    return run_diagnosis(grid_engine=spec.grid_engine)
+
+
 def _plain_runner(module: str, func: str) -> Callable[["JobSpec", Any], Any]:
     def run(spec: "JobSpec", resilience: Any) -> Any:
         import importlib
@@ -176,13 +188,8 @@ SERVICE_EXPERIMENTS: Dict[str, ExperimentProfile] = {
         "retention",
         _plain_runner("repro.experiments.retention", "run_retention"),
     ),
-    "escapes": ExperimentProfile(
-        "escapes", _plain_runner("repro.experiments.escapes", "run_escapes")
-    ),
-    "diagnosis": ExperimentProfile(
-        "diagnosis",
-        _plain_runner("repro.experiments.diagnosis", "run_diagnosis"),
-    ),
+    "escapes": ExperimentProfile("escapes", _run_escapes),
+    "diagnosis": ExperimentProfile("diagnosis", _run_diagnosis),
 }
 
 #: Completion-search depth run_table1 defaults to; resolved into the

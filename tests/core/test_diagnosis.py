@@ -5,12 +5,22 @@ import random
 
 import pytest
 
+from repro.campaign.corners import VDD_SCALED_FIELDS
 from repro.circuit.defects import OpenDefect, OpenLocation
+from repro.circuit.technology import Technology
 from repro.core.analysis import _R_RANGES
 from repro.core.diagnosis import (
     EQUIVALENCE_CLASSES,
     SignatureDatabase,
     equivalence_class,
+)
+from repro.experiments.diagnosis import run_diagnosis
+
+#: The headline locations the small dictionaries cover.
+THREE = (
+    OpenLocation.BL_PRECHARGE_CELLS,
+    OpenLocation.CELL,
+    OpenLocation.BL_SENSEAMP_IO,
 )
 
 
@@ -18,14 +28,7 @@ from repro.core.diagnosis import (
 def database():
     # A small dictionary over the three headline locations keeps the
     # suite fast; the full database is exercised by the benchmark.
-    return SignatureDatabase(
-        points_per_decade=2,
-        locations=(
-            OpenLocation.BL_PRECHARGE_CELLS,
-            OpenLocation.CELL,
-            OpenLocation.BL_SENSEAMP_IO,
-        ),
-    )
+    return SignatureDatabase(points_per_decade=2, locations=THREE)
 
 
 class TestEquivalenceClasses:
@@ -105,3 +108,38 @@ class TestDiagnosis:
     def test_empty_signature_diagnoses_nothing(self, database):
         result = database.diagnose(frozenset())
         assert result.healthy and result.best is None
+
+
+class TestEngines:
+    def test_batched_signatures_equal_one_at_a_time(self, database):
+        defects = [
+            OpenDefect(OpenLocation.CELL, 3e5),
+            None,
+            OpenDefect(OpenLocation.WORD_LINE, 3e7),
+            OpenDefect(OpenLocation.BL_SENSEAMP_IO, 2e8),
+        ]
+        assert database.signatures_of(defects) == [
+            database.signature_of(defect) for defect in defects
+        ]
+
+    def test_presets_are_the_rails_of_a_scaled_supply(self):
+        base = Technology()
+        corner = base.scaled(
+            **{name: getattr(base, name) * 0.8 for name in VDD_SCALED_FIELDS}
+        )
+        database = SignatureDatabase(
+            technology=corner, points_per_decade=1,
+            locations=(OpenLocation.BL_PRECHARGE_CELLS,),
+        )
+        assert database.presets == (0.0, corner.vdd)
+        assert database.size
+        presets = {
+            fail[0] for signature, _, _ in database._entries
+            for fail in signature
+        }
+        assert presets <= {0.0, corner.vdd}
+
+    def test_three_location_report_identical_on_both_engines(self):
+        grid = run_diagnosis(locations=THREE)
+        scalar = run_diagnosis(locations=THREE, grid_engine=False)
+        assert grid.report.render() == scalar.report.render()

@@ -56,3 +56,26 @@ class TestCLI:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["nonsense"])
+
+    @pytest.mark.parametrize("name,module,func", [
+        ("escapes", "escapes", "run_escapes"),
+        ("diagnosis", "diagnosis", "run_diagnosis"),
+    ])
+    def test_no_grid_engine_reaches_march_populations(
+        self, capsys, monkeypatch, name, module, func
+    ):
+        import importlib
+
+        seen = []
+
+        def fake(**kwargs):
+            seen.append(kwargs)
+            return ExperimentReport(name)
+
+        monkeypatch.setattr(
+            importlib.import_module(f"repro.experiments.{module}"), func, fake
+        )
+        assert main([name, "--no-grid-engine"]) == 0
+        assert main([name]) == 0
+        assert seen == [{"grid_engine": False}, {"grid_engine": True}]
+        assert "does not use the grid engine" not in capsys.readouterr().out

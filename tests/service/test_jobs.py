@@ -29,6 +29,28 @@ class TestContentAddress:
         assert spec.with_jobs(8).address == spec.address
         assert replace(spec, batch_u=False).address == spec.address
 
+    @pytest.mark.parametrize("name,func", [
+        ("escapes", "run_escapes"), ("diagnosis", "run_diagnosis"),
+    ])
+    def test_march_populations_honour_the_grid_engine_hint(
+        self, monkeypatch, name, func
+    ):
+        import importlib
+
+        from repro.service.jobs import SERVICE_EXPERIMENTS
+
+        seen = []
+        monkeypatch.setattr(
+            importlib.import_module(f"repro.experiments.{name}"), func,
+            lambda **kwargs: seen.append(kwargs),
+        )
+        spec = JobSpec(name)
+        profile = SERVICE_EXPERIMENTS[name]
+        profile.run(replace(spec, grid_engine=False), None)
+        profile.run(spec, None)
+        assert seen == [{"grid_engine": False}, {"grid_engine": True}]
+        assert replace(spec, grid_engine=False).address == spec.address
+
     def test_grid_change_changes_the_address(self):
         base = JobSpec("table1", opens=("CELL",), n_r=4, n_u=3)
         assert replace(base, n_r=5).address != base.address
