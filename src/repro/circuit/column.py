@@ -44,9 +44,7 @@ from .wordline import WordLineGate
 __all__ = [
     "DRAMColumn",
     "OperationRecord",
-    "ColumnBatch",
     "GridBatch",
-    "BatchDivergence",
 ]
 
 #: Bit-line segments in physical order along BT.
@@ -430,8 +428,10 @@ class DRAMColumn:
         sa_drive: bool = False,
         write_value: Optional[int] = None,
     ) -> None:
-        self._configure_phase(duration, active_row, precharge, sa_drive,
-                              write_value)
+        self._apply_plan(
+            self._phase_plan(duration, active_row, precharge, sa_drive,
+                             write_value)
+        )
         try:
             self.net.run(duration)
         except SolverDivergenceError as err:
@@ -464,27 +464,6 @@ class DRAMColumn:
         if row is not None and location in (OpenLocation.CELL, OpenLocation.WORD_LINE):
             return d.row == row
         return True
-
-    def _configure_phase(
-        self,
-        duration: float,
-        active_row: Optional[int],
-        precharge: bool = False,
-        sa_drive: bool = False,
-        write_value: Optional[int] = None,
-    ) -> None:
-        """Declare the resistors and drivers of one phase (without solving).
-
-        This advances the word-line gate dynamics for the phase, so it must
-        be called exactly once per simulated phase.  The resulting
-        configuration depends on the gate voltages and the sense-amp latch
-        state — but *not* on the network node voltages, which is what makes
-        lock-step batching (:class:`ColumnBatch`) possible.
-        """
-        self._apply_plan(
-            self._phase_plan(duration, active_row, precharge, sa_drive,
-                             write_value)
-        )
 
     def _phase_plan(
         self,
@@ -607,232 +586,13 @@ class DRAMColumn:
             net.drive("bc", t.vdd - rail, r_sa)
 
 
-class BatchDivergence(Exception):
-    """Lanes of a batched execution need different phase configurations.
-
-    Raised when a data-dependent branch (the sense-amp decision, or a latch
-    flip during a write) resolves differently across the lanes of a
-    :class:`ColumnBatch`: the phase topology is then no longer shared, so
-    the batch cannot proceed in lock-step and the caller must fall back to
-    scalar execution.
-    """
-
-
-class ColumnBatch:
-    """Lock-step execution of one operation sequence over many initial states.
-
-    Within one phase the column is a *linear* network, so the phase map
-    ``V -> Phi V + phi`` is independent of the node voltages: as long as
-    every lane shares the same phase configuration (same word-line gate
-    history, same sense-amp latch state), a whole batch of initial states
-    advances with a single :meth:`Network.run_batch` product.  The analyzer
-    uses this to execute one SOS for all ``U`` values of a grid column at
-    once — the state presets and the operation sequence are identical
-    across the U axis by construction; only the floating-node
-    initialization differs.
-
-    The batch owns its state: node voltages are a ``(n_nodes, n_lanes)``
-    matrix, the sense-amp latch is an array pair, and read results are
-    returned per lane.  The host column's network voltages are never
-    touched; its word-line gates and scalar SA *are* advanced (their
-    trajectories are lane-independent — batching over floating word-line
-    voltages is refused by the analyzer precisely because it would not be).
-
-    When a data-dependent branch diverges across lanes,
-    :class:`BatchDivergence` is raised and the caller re-runs the affected
-    lanes scalar — correctness never depends on the batch succeeding.
-    """
-
-    def __init__(self, column: DRAMColumn, initial_states) -> None:
-        self.column = column
-        self.V = np.array(initial_states, dtype=float)
-        if self.V.ndim != 2:
-            raise ValueError("initial_states must be (n_nodes, n_lanes)")
-        n_nodes = len(column.net.node_names)
-        if self.V.shape[0] != n_nodes:
-            raise ValueError(
-                f"initial_states has {self.V.shape[0]} rows for "
-                f"{n_nodes} network nodes"
-            )
-        self.n_lanes = self.V.shape[1]
-        self._fired = np.zeros(self.n_lanes, dtype=bool)
-        self._value = np.zeros(self.n_lanes, dtype=int)
-        net = column.net
-        self._i_bc = net.node_index("bc")
-        self._i_buf = net.node_index("buf")
-        self._i_sa = net.node_index(column._seg_node["sa"])
-        self._i_io = net.node_index(column._seg_node["io"])
-
-    # -- lane state -----------------------------------------------------------
-
-    def voltages(self, node) -> np.ndarray:
-        """Per-lane voltages of one network node (by index or name)."""
-        return self.V[self.column.net._resolve(node)].copy()
-
-    def logical_states(self, row: int) -> np.ndarray:
-        """Per-lane bit an ideal read of ``cell{row}`` would return."""
-        i_cell = self.column.net.node_index(f"cell{row}")
-        return (self.V[i_cell] > self.column.state_threshold).astype(int)
-
-    # -- sense-amp lanes -------------------------------------------------------
-
-    def _sa_reset(self) -> None:
-        self._fired[:] = False
-        self.column.sa.reset()
-
-    def _sense(self) -> None:
-        dv = self.V[self._i_sa] - self.V[self._i_bc]
-        self._fired = np.abs(dv) >= self.column.sa.offset
-        self._value = (dv > 0).astype(int)
-
-    def _maybe_flip(self) -> None:
-        dv = self.V[self._i_sa] - self.V[self._i_bc]
-        crossed = self._fired & (
-            ((self._value == 1) & (dv < 0)) | ((self._value == 0) & (dv > 0))
-        )
-        self._value[crossed] = 1 - self._value[crossed]
-        late = ~self._fired & (np.abs(dv) >= self.column.sa.offset)
-        self._fired |= late
-        self._value[late] = (dv[late] > 0).astype(int)
-
-    def _sa_groups(self) -> List[Tuple[Tuple[bool, int], np.ndarray]]:
-        """Partition the lanes by latch state ``(fired, value)``.
-
-        The phase configuration reads the scalar latch, so a drive phase
-        needs one (fired, value) pair per solve; lanes that disagree fork
-        into sub-batches rather than aborting the batch.  Keys sort
-        deterministically; lanes inside a group keep batch order.
-        """
-        grouped: Dict[Tuple[bool, int], List[int]] = {}
-        for lane in range(self.n_lanes):
-            fired = bool(self._fired[lane])
-            key = (fired, int(self._value[lane]) if fired else -1)
-            grouped.setdefault(key, []).append(lane)
-        return [
-            (key, np.asarray(grouped[key], dtype=int))
-            for key in sorted(grouped)
-        ]
-
-    # -- phase / operation machinery -------------------------------------------
-
-    def _phase(
-        self,
-        duration: float,
-        active_row: Optional[int],
-        precharge: bool = False,
-        sa_drive: bool = False,
-        write_value: Optional[int] = None,
-    ) -> None:
-        col = self.column
-        sa = col.sa
-        try:
-            if not sa_drive:
-                col._configure_phase(
-                    duration, active_row, precharge, sa_drive, write_value
-                )
-                self.V = col.net.run_batch(duration, self.V)
-                return
-            # The latch rails are data-dependent: build the plan once (the
-            # word-line gates must advance exactly once per phase), then
-            # instantiate it per latch-state group of lanes.
-            groups = self._sa_groups()
-            plan = col._phase_plan(
-                duration, active_row, precharge, sa_drive, write_value
-            )
-            if len(groups) == 1:
-                (fired, value), _idx = groups[0]
-                sa.fired, sa.value = fired, (value if fired else None)
-                col._apply_plan(plan)
-                self.V = col.net.run_batch(duration, self.V)
-                return
-            telemetry.count("column.batch_forks", len(groups) - 1)
-            for (fired, value), idx in groups:
-                sa.fired, sa.value = fired, (value if fired else None)
-                col._apply_plan(plan)
-                self.V[:, idx] = col.net.run_batch(
-                    duration,
-                    np.ascontiguousarray(self.V[:, idx]),
-                    lanes=tuple(int(l) for l in idx),
-                )
-        except SolverDivergenceError as err:
-            raise SolverDivergenceError(
-                err.guard,
-                err.message,
-                phase=_phase_name(active_row, precharge, sa_drive, write_value),
-                lanes=self.n_lanes,
-                **err.context,
-            ) from err
-
-    def _update_buffer(self) -> None:
-        t = self.column.tech
-        dv = self.V[self._i_io] - self.V[self._i_bc]
-        latch = np.abs(dv) >= t.io_offset
-        self.V[self._i_buf, latch] = np.where(dv[latch] > 0, t.vdd, 0.0)
-
-    def read(self, row: int) -> np.ndarray:
-        """Apply one read to every lane; return the per-lane buffer values."""
-        result = self._operation("r", row, None)
-        assert result is not None
-        return result
-
-    def write(self, row: int, value: int) -> None:
-        """Apply one write operation to every lane."""
-        if value not in (0, 1):
-            raise ValueError("written value must be 0 or 1")
-        self._operation("w", row, value)
-
-    def precharge_cycle(self) -> None:
-        """Run one precharge/equalize cycle with no cell access (all lanes)."""
-        telemetry.count("column.precharge_cycles", self.n_lanes)
-        self._sa_reset()
-        self._phase(self.column.tech.t_precharge, active_row=None,
-                    precharge=True)
-        self._phase(self.column.tech.t_wl_off, active_row=None)
-
-    def _operation(
-        self, kind: str, row: int, value: Optional[int]
-    ) -> Optional[np.ndarray]:
-        # Mirrors DRAMColumn._operation phase for phase; every scalar
-        # voltage comparison becomes an elementwise one over the lanes.
-        col = self.column
-        if not 0 <= row < col.n_rows:
-            raise ValueError(f"row {row} outside 0..{col.n_rows - 1}")
-        telemetry.count(
-            "column.reads" if kind == "r" else "column.writes", self.n_lanes
-        )
-        t = col.tech
-        self._sa_reset()
-        self._phase(t.t_precharge, active_row=None, precharge=True)
-        self._phase(t.t_share, active_row=row)
-        self._sense()
-        t_strobe = min(t.t_io_sample, t.t_sense)
-        self._phase(t_strobe, active_row=row, sa_drive=True)
-        self._update_buffer()
-        self._phase(t.t_sense - t_strobe, active_row=row, sa_drive=True)
-        read_result: Optional[np.ndarray] = None
-        if kind == "r":
-            read_result = (self.V[self._i_buf] > t.vdd / 2).astype(int)
-        if kind == "w":
-            assert value is not None
-            self._phase(
-                t.t_write / 2, active_row=row, sa_drive=True, write_value=value,
-            )
-            self._maybe_flip()
-            self._phase(
-                t.t_write / 2, active_row=row, sa_drive=True, write_value=value,
-            )
-            self._update_buffer()
-        self._phase(t.t_wl_off, active_row=None)
-        return read_result
-
-
 class GridBatch:
     """Lock-step execution of one operation sequence over a (R_def × U) grid.
 
-    Where :class:`ColumnBatch` vectorizes the U axis of a grid column (many
-    initial states, one network), a ``GridBatch`` additionally vectorizes
-    the R_def axis: each *member* is the same column topology with a
-    different open resistance, and each member carries all U *lanes*.
+    A ``GridBatch`` vectorizes both axes of a sweep tile: each *member*
+    is the same column topology with a different open resistance, and
+    each member carries all U *lanes* (many initial states, one phase
+    schedule).
     Internally the state is flat — one ``(n_nodes, n_points)`` matrix over
     every surviving ``(member, lane)`` point — advanced with one
     :meth:`NetworkEnsemble.run_grid_blocks` product per phase; sense-amp
@@ -850,9 +610,8 @@ class GridBatch:
     then makes every grid *point* its own width-1 member, since the gate
     trajectory depends on both ``R_def`` and the floating ``U``).
 
-    Lanes of one member disagreeing on the sense-amp decision — exactly
-    :class:`ColumnBatch`'s :class:`BatchDivergence` — does **not** demote
-    anything here: the member *forks* into sub-groups by latch state
+    Lanes of one member disagreeing on the sense-amp decision does
+    **not** demote anything: the member *forks* into sub-groups by latch state
     ``(fired, value)``, and each fork continues vectorized with its own
     sense-amp rail drive.  Per point the phase sequence is identical to
     what the scalar column would apply, so forking is pure execution

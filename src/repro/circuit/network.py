@@ -30,8 +30,9 @@ up or compute the propagator → apply it", with the propagators held in a
 process-global LRU (:func:`propagator_cache_info`,
 :func:`propagator_cache_clear`, ``solver.propagator_hits/misses``
 telemetry).  :meth:`Network.run_batch` applies one propagator to many
-initial-state columns as a single matrix-matrix product — the U axis of a
-sweep then costs one solve instead of one per grid point.  See
+initial-state columns as a single matrix-matrix product, and
+:class:`NetworkEnsemble` stacks such products across defect resistances —
+a whole ``(R_def, U)`` tile then costs one stacked solve per phase.  See
 ``docs/PERFORMANCE.md``.
 
 A resistance of :data:`OPEN` (infinite) removes an edge entirely; ``0`` is
@@ -538,11 +539,7 @@ class Network:
     # -- guard rails ---------------------------------------------------------------
 
     def _apply_once(
-        self,
-        duration: float,
-        v0: np.ndarray,
-        batch: bool,
-        lanes: Optional[Tuple[int, ...]] = None,
+        self, duration: float, v0: np.ndarray, batch: bool
     ) -> np.ndarray:
         """One propagator application, routed through the fault-hook seam."""
         phi, offset = self._propagator(duration)
@@ -550,10 +547,6 @@ class Network:
         if _FAULT_HOOK is not None:
             n_lanes = 1 if v0.ndim == 1 else v0.shape[1]
             info = {"batch": batch, "n_nodes": v0.shape[0], "n_lanes": n_lanes}
-            if lanes is not None:
-                # A forked sub-batch carries only some of the caller's
-                # lanes; advertise the original indices for targeting.
-                info["lanes"] = lanes
             v_t = np.asarray(_FAULT_HOOK(v_t, info), dtype=float)
         return v_t
 
@@ -623,15 +616,11 @@ class Network:
         return v
 
     def _guarded_apply(
-        self,
-        duration: float,
-        v0: np.ndarray,
-        batch: bool,
-        lanes: Optional[Tuple[int, ...]] = None,
+        self, duration: float, v0: np.ndarray, batch: bool
     ) -> np.ndarray:
         guards = _GUARDS
         try:
-            v_t = self._apply_once(duration, v0, batch, lanes)
+            v_t = self._apply_once(duration, v0, batch)
         except SolverDivergenceError as err:
             self._on_trip(err.guard, duration)
             if guards.policy is GuardPolicy.FALLBACK:
@@ -672,23 +661,14 @@ class Network:
         self._volts = [float(x) for x in v_t]
         return self.voltages()
 
-    def run_batch(
-        self,
-        duration: float,
-        v0_matrix,
-        lanes: Optional[Tuple[int, ...]] = None,
-    ) -> np.ndarray:
+    def run_batch(self, duration: float, v0_matrix) -> np.ndarray:
         """Advance many initial states through one phase in lock-step.
 
         ``v0_matrix`` has one row per node and one column per batch lane;
         the result has the same shape.  The network's own node voltages are
         left untouched: batch state lives with the caller.  One propagator
-        lookup serves the whole batch — the U axis of a sweep costs a
-        single matrix-matrix product instead of one solve per lane.
-
-        ``lanes`` optionally names the caller-side lane index behind each
-        column (a forked sub-batch passes the original lane indices); it
-        only feeds the fault-injection hook's targeting info.
+        lookup serves the whole batch — many lanes cost a single
+        matrix-matrix product instead of one solve per lane.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
@@ -706,7 +686,7 @@ class Network:
         if not self._edges and not self._drivers:
             telemetry.count("solver.floating_skips")
             return v0
-        return self._guarded_apply(duration, v0, batch=True, lanes=lanes)
+        return self._guarded_apply(duration, v0, batch=True)
 
     def steady_state_then(self, duration: float) -> Dict[str, float]:
         """Alias of :meth:`run` kept for API symmetry/readability."""

@@ -1012,7 +1012,7 @@ def main(argv=None) -> int:
         "--no-grid-engine",
         action="store_true",
         help="disable the vectorized grid solver ((R_def, U) sweeps and "
-        "lane-stacked march populations) and run the scalar/U-batch path "
+        "lane-stacked march populations) and run the scalar oracle "
         "instead (ablation/debug; the output is identical, see "
         "docs/PERFORMANCE.md)",
     )

@@ -38,7 +38,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..circuit.column import BatchDivergence, ColumnBatch, DRAMColumn, GridBatch
+from ..circuit.column import DRAMColumn, GridBatch
 from ..circuit.wordline import WordLineGate
 from ..circuit.defects import FloatingNode, OpenDefect, OpenLocation, floating_nodes
 from ..circuit import network as circuit_network
@@ -66,9 +66,10 @@ __all__ = [
 PROBE_SOSES: Tuple[str, ...] = ("0", "1", "0w0", "0w1", "1w0", "1w1", "0r0", "1r1")
 
 #: The operating point currently being executed, or ``None`` outside a
-#: solve.  ``u`` is a float for scalar execution and a tuple of lane
-#: voltages for a batch.  This is how targeted fault injectors
-#: (``repro.inject``) hit one specific grid point.
+#: solve.  ``u`` is a float for scalar execution; a grid tile sets
+#: ``grid`` and carries tuples of its resistances and lane voltages.
+#: This is how targeted fault injectors (``repro.inject``) hit one
+#: specific grid point.
 _CURRENT_POINT: Optional[Dict] = None
 
 #: Bounds of the per-analyzer grid prefix memo: how many tiles keep a
@@ -369,7 +370,6 @@ class ColumnFaultAnalyzer:
         victim_row: int = 0,
         grid: Optional[SweepGrid] = None,
         max_cache_entries: Optional[int] = None,
-        batch_u: bool = True,
         grid_engine: bool = True,
         guard_policy: Optional[GuardPolicy] = None,
     ) -> None:
@@ -378,7 +378,6 @@ class ColumnFaultAnalyzer:
         if max_cache_entries is not None and max_cache_entries < 1:
             raise ValueError("max_cache_entries must be positive or None")
         self.location = location
-        self.batch_u = batch_u
         self.grid_engine = grid_engine
         self.technology = technology or default_technology()
         self.n_rows = n_rows
@@ -487,6 +486,18 @@ class ColumnFaultAnalyzer:
             return Observation(None, None, faulty_value, read_value)
         return Observation(fp, classify_fp(fp), faulty_value, read_value)
 
+    def _cached(self, key: Tuple) -> Optional[Observation]:
+        """Look one point up in the observation cache; count the outcome."""
+        telemetry.count("analyzer.observe_calls")
+        hit = self._cache.get(key)
+        if hit is not None:
+            self._cache_hits += 1
+            telemetry.count("analyzer.cache_hits")
+        else:
+            self._cache_misses += 1
+            telemetry.count("analyzer.cache_misses")
+        return hit
+
     def _cache_store(self, key: Tuple, obs: Observation) -> None:
         if (
             self.max_cache_entries is not None
@@ -548,78 +559,6 @@ class ColumnFaultAnalyzer:
         faulty_value = column.logical_state(self.victim_row)
         read_value = last_victim_read if sos.ends_in_read else None
         return faulty_value, read_value
-
-    def _execute_batch(
-        self, sos: SOS, r_def: float, u_values: Sequence[float],
-        floating: Tuple[FloatingNode, ...],
-    ) -> List[Tuple[int, Optional[int]]]:
-        """Run one SOS for many ``U`` values in lock-step; ``(F, R)`` per lane.
-
-        The state presets and operation sequence are identical across the
-        lanes — only the floating-node initialization differs — so one
-        :class:`ColumnBatch` advances every lane per phase.  Raises
-        :class:`BatchDivergence` when a data-dependent branch (sense-amp
-        decision) resolves differently across lanes.
-        """
-        global _CURRENT_POINT
-        _CURRENT_POINT = {
-            "location": self.location, "r_def": r_def, "u": tuple(u_values),
-        }
-        try:
-            return self._execute_batch_inner(sos, r_def, u_values, floating)
-        finally:
-            _CURRENT_POINT = None
-
-    def _execute_batch_inner(
-        self, sos: SOS, r_def: float, u_values: Sequence[float],
-        floating: Tuple[FloatingNode, ...],
-    ) -> List[Tuple[int, Optional[int]]]:
-        column = self.make_column(r_def)
-        init_via_write = FloatingNode.CELL in floating
-        data = self._preset_data(sos, init_via_write)
-        lanes = []
-        for u in u_values:
-            column.reset(data)
-            for node in floating:
-                column.set_floating_voltage(node, u)
-            lanes.append(column.net.state_vector())
-        # Normalize the shared (lane-independent) gate/SA state before the
-        # lock-step run; the per-lane node voltages live in the batch.
-        column.reset(data)
-        batch = ColumnBatch(column, np.stack(lanes, axis=1))
-        ran_anything = False
-        if init_via_write:
-            for init in sos.inits:
-                if init.cell == VICTIM:
-                    batch.write(self.victim_row, init.value)
-                    ran_anything = True
-        last_victim_read: Optional[np.ndarray] = None
-        if not sos.ops and not ran_anything:
-            batch.precharge_cycle()
-        for op in sos.ops:
-            row = self._row_of(op.cell)
-            if op.is_write:
-                batch.write(row, op.value)
-            else:
-                result = batch.read(row)
-                if op.cell == VICTIM:
-                    last_victim_read = result
-        faulty = batch.logical_states(self.victim_row)
-        reads = last_victim_read if sos.ends_in_read else None
-        # Counted on success only: a diverged batch re-runs scalar, and the
-        # scalar path does its own counting (keeps executions == misses).
-        telemetry.count("analyzer.sos_executions", len(u_values))
-        return [
-            (
-                int(faulty[i]),
-                int(reads[i]) if reads is not None else None,
-            )
-            for i in range(len(u_values))
-        ]
-
-    def _grid_supported(self, floating: Tuple[FloatingNode, ...]) -> bool:
-        """Whether the vectorized grid engine may execute this sweep."""
-        return self.batch_u and self.grid_engine
 
     def _wordline_grid(self, floating: Tuple[FloatingNode, ...]) -> bool:
         """Whether this sweep needs per-point word-line gate tracking.
@@ -858,84 +797,90 @@ class ColumnFaultAnalyzer:
     ) -> List[List[Observation]]:
         """Observations for a whole ``(R_def, U)`` tile, one row per ``R``.
 
-        Rows with no cache-resident point are executed together as one
-        :class:`~repro.circuit.column.GridBatch` (stacked propagators, one
-        matmul per phase for the entire tile); rows with cache hits, and
-        sweeps the grid engine cannot take (word-line dynamics), go
-        through :meth:`observe_batch` per row.  Members the grid demotes
-        re-run per point through the scalar oracle with unchanged
-        guard/quarantine semantics — results are identical either way,
-        the grid is purely an execution strategy.
+        Every point is looked up in the observation cache first; hits are
+        returned as-is.  Rows are then grouped by the ``U`` lanes they
+        miss, and each group runs as one
+        :class:`~repro.circuit.column.GridBatch` over exactly those lanes
+        (stacked propagators, one matmul per phase for the whole group):
+        a full-miss group is the whole tile, a partly cached row a
+        one-member tile over its missing lanes.  Word-line sweeps keep
+        their width-1 members with private gates.  Members the grid
+        demotes, and every miss when ``grid_engine`` is off, run per
+        point through the scalar oracle with unchanged guard/quarantine
+        semantics — results are identical either way, the grid is purely
+        an execution strategy.
         """
         floating = _as_nodes(floating)
         r_values = tuple(r_values)
         u_values = tuple(u_values)
-        full_miss: List[int] = []
-        if self._grid_supported(floating) and u_values:
-            for i, r in enumerate(r_values):
-                if all(
-                    self._cache.get((sos, r, u, floating)) is None
-                    for u in u_values
-                ):
-                    full_miss.append(i)
-        outcomes: Dict[int, List[Tuple[int, Optional[int]]]] = {}
-        demoted: Dict[int, str] = {}
-        member_of: Dict[int, int] = {}
-        # A single full-miss row is only worth an ensemble when the
-        # alternative is per-point scalar execution (word-line dynamics);
-        # otherwise ColumnBatch already covers it with less overhead.
-        if len(full_miss) > 1 or (full_miss and self._wordline_grid(floating)):
-            member_of = {row: m for m, row in enumerate(full_miss)}
-            outcomes, demoted = self._execute_grid(
-                sos, [r_values[i] for i in full_miss], u_values, floating
-            )
-        rows: List[List[Observation]] = []
-        for i, r in enumerate(r_values):
-            member = member_of.get(i)
-            if member is None:
-                rows.append(list(self.observe_batch(
-                    sos, r, u_values, floating
-                )))
-                continue
-            if member in outcomes:
-                lane_outcomes: List = outcomes[member]
-            else:
-                reason = demoted.get(member, "divergence")
-                telemetry.count("analyzer.batch_fallbacks")
-                telemetry.count("analyzer.grid_demotions")
-                telemetry.count(
-                    "analyzer.grid_fallback_points", len(u_values)
+        rows = [
+            [self._cached((sos, r, u, floating)) for u in u_values]
+            for r in r_values
+        ]
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for i, row in enumerate(rows):
+            missing = tuple(j for j, hit in enumerate(row) if hit is None)
+            if missing:
+                groups.setdefault(missing, []).append(i)
+        for lanes, members in groups.items():
+            tile_u = tuple(u_values[j] for j in lanes)
+            outcomes: Dict[int, List[Tuple[int, Optional[int]]]] = {}
+            demoted: Dict[int, str] = {}
+            if self.grid_engine:
+                outcomes, demoted = self._execute_grid(
+                    sos, [r_values[i] for i in members], tile_u, floating
                 )
-                if reason == "guard":
-                    telemetry.count("solver.guard_batch_fallbacks")
-                lane_outcomes = []
-                for u in u_values:
-                    try:
-                        lane_outcomes.append(
-                            self._execute_scalar(sos, r, u, floating)
+            for m, i in enumerate(members):
+                r = r_values[i]
+                lane_outcomes = outcomes.get(m)
+                if lane_outcomes is None:
+                    if self.grid_engine:
+                        telemetry.count("analyzer.grid_demotions")
+                        telemetry.count(
+                            "analyzer.grid_fallback_points", len(tile_u)
                         )
-                    except SolverDivergenceError as err:
-                        if (
-                            self._effective_policy()
-                            is not GuardPolicy.QUARANTINE
-                        ):
-                            raise
-                        lane_outcomes.append(err)
-            row_obs: List[Observation] = []
-            for j, u in enumerate(u_values):
-                telemetry.count("analyzer.observe_calls")
-                self._cache_misses += 1
-                telemetry.count("analyzer.cache_misses")
-                outcome = lane_outcomes[j]
-                if isinstance(outcome, SolverDivergenceError):
-                    obs = self._quarantine(sos, r, u, floating, outcome)
-                else:
-                    faulty_value, read_value = outcome
-                    obs = self._classify(sos, faulty_value, read_value)
-                self._cache_store((sos, r, u, floating), obs)
-                row_obs.append(obs)
-            rows.append(row_obs)
-        return rows
+                        if demoted.get(m) == "guard":
+                            telemetry.count("solver.guard_batch_fallbacks")
+                    lane_outcomes = self._execute_points(
+                        sos, r, tile_u, floating
+                    )
+                for j, outcome in zip(lanes, lane_outcomes):
+                    rows[i][j] = self._record(
+                        sos, r, u_values[j], floating, outcome
+                    )
+        return rows  # type: ignore[return-value]
+
+    def _execute_points(
+        self, sos: SOS, r_def: float, u_values: Sequence[float],
+        floating: Tuple[FloatingNode, ...],
+    ) -> List:
+        """Run the scalar oracle at each ``U``; ``(F, R)`` per point.
+
+        Under ``GuardPolicy.QUARANTINE`` a point whose solve trips a
+        guard yields its :class:`SolverDivergenceError` instead, so only
+        that point is quarantined.
+        """
+        outcomes: List = []
+        for u in u_values:
+            try:
+                outcomes.append(self._execute_scalar(sos, r_def, u, floating))
+            except SolverDivergenceError as err:
+                if self._effective_policy() is not GuardPolicy.QUARANTINE:
+                    raise
+                outcomes.append(err)
+        return outcomes
+
+    def _record(
+        self, sos: SOS, r_def: float, u: float,
+        floating: Tuple[FloatingNode, ...], outcome,
+    ) -> Observation:
+        """Classify (or quarantine) one executed point and cache it."""
+        if isinstance(outcome, SolverDivergenceError):
+            obs = self._quarantine(sos, r_def, u, floating, outcome)
+        else:
+            obs = self._classify(sos, *outcome)
+        self._cache_store((sos, r_def, u, floating), obs)
+        return obs
 
     def _quarantine(
         self, sos: SOS, r_def: float, u: float,
@@ -966,101 +911,11 @@ class ColumnFaultAnalyzer:
         :attr:`quarantined` and a quarantined observation is returned.
         """
         floating = _as_nodes(floating)
-        telemetry.count("analyzer.observe_calls")
-        key = (sos, r_def, u, floating)
-        hit = self._cache.get(key)
+        hit = self._cached((sos, r_def, u, floating))
         if hit is not None:
-            self._cache_hits += 1
-            telemetry.count("analyzer.cache_hits")
             return hit
-        self._cache_misses += 1
-        telemetry.count("analyzer.cache_misses")
-        try:
-            faulty_value, read_value = self._execute_scalar(
-                sos, r_def, u, floating
-            )
-        except SolverDivergenceError as err:
-            if self._effective_policy() is not GuardPolicy.QUARANTINE:
-                raise
-            obs = self._quarantine(sos, r_def, u, floating, err)
-        else:
-            obs = self._classify(sos, faulty_value, read_value)
-        self._cache_store(key, obs)
-        return obs
-
-    def observe_batch(
-        self, sos: SOS, r_def: float, u_values: Sequence[float], floating
-    ) -> List[Observation]:
-        """Observations for one grid column (one ``R_def``, many ``U``).
-
-        Cache-resident points are returned as-is; the misses execute as one
-        lock-step batch when batching applies (more than one miss, and the
-        floating voltage is not the word-line gate, whose per-lane dynamics
-        cannot share a phase configuration).  On :class:`BatchDivergence`
-        the missing lanes silently re-run scalar — results are identical
-        either way, batching is purely an execution strategy.
-        """
-        floating = _as_nodes(floating)
-        u_values = tuple(u_values)
-        observations: List[Optional[Observation]] = []
-        missing: List[int] = []
-        for u in u_values:
-            telemetry.count("analyzer.observe_calls")
-            hit = self._cache.get((sos, r_def, u, floating))
-            if hit is not None:
-                self._cache_hits += 1
-                telemetry.count("analyzer.cache_hits")
-            else:
-                self._cache_misses += 1
-                telemetry.count("analyzer.cache_misses")
-                missing.append(len(observations))
-            observations.append(hit)
-        if not missing:
-            return observations  # type: ignore[return-value]
-        missing_u = tuple(u_values[i] for i in missing)
-        outcomes: Optional[List[Tuple[int, Optional[int]]]] = None
-        if (
-            self.batch_u
-            and len(missing) > 1
-            and FloatingNode.WORD_LINE not in floating
-        ):
-            try:
-                outcomes = self._execute_batch(sos, r_def, missing_u, floating)
-                telemetry.count("analyzer.batch_columns")
-            except BatchDivergence:
-                telemetry.count("analyzer.batch_fallbacks")
-                outcomes = None
-            except SolverDivergenceError:
-                # A guard tripped somewhere in the lock-step batch; under
-                # QUARANTINE re-run the lanes scalar so only the diverging
-                # lane(s) quarantine instead of the whole grid column.
-                if self._effective_policy() is not GuardPolicy.QUARANTINE:
-                    raise
-                telemetry.count("analyzer.batch_fallbacks")
-                telemetry.count("solver.guard_batch_fallbacks")
-                outcomes = None
-        if outcomes is None:
-            outcomes = []
-            for u in missing_u:
-                try:
-                    outcomes.append(
-                        self._execute_scalar(sos, r_def, u, floating)
-                    )
-                except SolverDivergenceError as err:
-                    if self._effective_policy() is not GuardPolicy.QUARANTINE:
-                        raise
-                    outcomes.append(err)
-        for i, outcome in zip(missing, outcomes):
-            if isinstance(outcome, SolverDivergenceError):
-                obs = self._quarantine(
-                    sos, r_def, u_values[i], floating, outcome
-                )
-            else:
-                faulty_value, read_value = outcome
-                obs = self._classify(sos, faulty_value, read_value)
-            self._cache_store((sos, r_def, u_values[i], floating), obs)
-            observations[i] = obs
-        return observations  # type: ignore[return-value]
+        (outcome,) = self._execute_points(sos, r_def, (u,), floating)
+        return self._record(sos, r_def, u, floating, outcome)
 
     # -- region maps (Figs. 3 and 4) ---------------------------------------------
 
@@ -1099,23 +954,6 @@ class ColumnFaultAnalyzer:
             tuple(label_of(obs) for obs in column) for column in tile
         )
         return FPRegionMap(grid.r_values, grid.u_values, rows)
-
-    def region_map_grid(
-        self,
-        sos: SOS,
-        floating,
-        grid: Optional[SweepGrid] = None,
-        label: str = "ffm",
-    ) -> FPRegionMap:
-        """Explicit alias of :meth:`region_map`.
-
-        :meth:`region_map` already routes whole tiles through the
-        vectorized grid engine whenever the sweep supports it (see
-        :meth:`observe_grid`); this name exists so callers can state the
-        intent — and so ``grid_engine=False`` analyzers keep a scalar
-        :meth:`region_map` while tools probing the engine call this.
-        """
-        return self.region_map(sos, floating, grid=grid, label=label)
 
     # -- marginal-point detection ---------------------------------------------
 

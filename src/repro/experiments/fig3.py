@@ -79,7 +79,8 @@ def run_fig3(
     under ``GuardPolicy.QUARANTINE`` diverging points land in the maps
     as ``QUARANTINED`` labels and in the report's ``[guards]`` block.
     ``grid_engine=False`` disables the stacked ``(R_def, U)`` tile
-    solver (scalar/batch fallback path) — the maps are identical.
+    solver (every point runs through the scalar oracle) — the maps are
+    identical.
     """
     grid = default_grid_for(OpenLocation.BL_PRECHARGE_CELLS, n_r=n_r, n_u=n_u)
     completed_fp = parse_fp(COMPLETED_FP_TEXT)

@@ -153,7 +153,6 @@ def run_table1(
     n_u: int = 12,
     max_extra_ops: int = 3,
     jobs: int = 1,
-    batch_u: bool = True,
     grid_engine: bool = True,
     resilience=None,
     guard_policy: Optional[GuardPolicy] = None,
@@ -164,11 +163,10 @@ def run_table1(
     ``jobs`` fans the ``(location, plan, probe)`` surveys and the
     completion searches out over worker processes; the inventory is
     identical for any value (``jobs=1``, the default, runs the original
-    in-process loop).  ``batch_u=False`` forces scalar per-point SOS
-    execution (the pre-batching behaviour, kept for benchmarks and
-    ablations) — the inventory is identical either way.
-    ``grid_engine=False`` keeps U-axis batching but disables the
-    stacked ``(R_def, U)`` tile solver, again with identical output.
+    in-process loop).  ``grid_engine=False`` disables the stacked
+    ``(R_def, U)`` tile solver and runs every SOS per point through the
+    scalar oracle (kept for benchmarks and ablations) — the inventory is
+    identical either way.
 
     ``resilience`` (a :class:`repro.parallel.Resilience`) turns on unit
     retry/timeout/fallback recovery and, with a checkpoint store,
@@ -186,7 +184,7 @@ def run_table1(
     locations = tuple(opens) if opens is not None else tuple(OpenLocation)
     if jobs > 1 or resilience is not None:
         return _run_table1_parallel(
-            locations, technology, n_r, n_u, max_extra_ops, jobs, batch_u,
+            locations, technology, n_r, n_u, max_extra_ops, jobs,
             grid_engine, resilience, guard_policy, check_marginal,
         )
     rows: List[InventoryRow] = []
@@ -196,7 +194,6 @@ def run_table1(
             location,
             technology=technology,
             grid=default_grid_for(location, n_r=n_r, n_u=n_u),
-            batch_u=batch_u,
             grid_engine=grid_engine,
             guard_policy=guard_policy,
         )
@@ -258,7 +255,6 @@ def _run_table1_parallel(
     n_u: int,
     max_extra_ops: int,
     jobs: int,
-    batch_u: bool = True,
     grid_engine: bool = True,
     resilience=None,
     guard_policy: Optional[GuardPolicy] = None,
@@ -282,7 +278,7 @@ def _run_table1_parallel(
 
     outcome = survey_locations(
         locations, jobs=jobs, technology=technology, n_r=n_r, n_u=n_u,
-        batch_u=batch_u, grid_engine=grid_engine, resilience=resilience,
+        grid_engine=grid_engine, resilience=resilience,
         guard_policy=guard_policy,
     )
     kept: List = []
@@ -302,7 +298,6 @@ def _run_table1_parallel(
                 location,
                 technology=technology,
                 grid=default_grid_for(location, n_r=n_r, n_u=n_u),
-                batch_u=batch_u,
                 grid_engine=grid_engine,
                 guard_policy=guard_policy,
             ),
@@ -337,7 +332,6 @@ def _run_table1_parallel(
                     location,
                     technology=technology,
                     grid=default_grid_for(location, n_r=n_r, n_u=n_u),
-                    batch_u=batch_u,
                     grid_engine=grid_engine,
                     guard_policy=guard_policy,
                 )

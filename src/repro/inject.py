@@ -46,11 +46,10 @@ armed raises :class:`~repro.errors.InjectionError`.
 the ``solver.guard_*`` / ``analyzer.quarantined_points`` / ``parallel.*``
 telemetry counters around each run, and classifies the outcome with
 DAVOS-style verdicts (``dormant`` / ``masked`` / ``contained`` /
-``detected`` / ``escaped``).  ``run_campaign`` remains as a
-compatibility alias — not to be confused with the *stress-corner sweep
-campaigns* of :mod:`repro.campaign`, which orchestrate fleets of real
-experiment jobs across operating corners rather than injecting faults
-into one run (see docs/CAMPAIGNS.md).
+``detected`` / ``escaped``) — not to be confused with the
+*stress-corner sweep campaigns* of :mod:`repro.campaign`, which
+orchestrate fleets of real experiment jobs across operating corners
+rather than injecting faults into one run (see docs/CAMPAIGNS.md).
 """
 
 from __future__ import annotations
@@ -79,14 +78,12 @@ __all__ = [
     "InjectionResult",
     "CampaignReport",
     "run_injection_campaign",
-    "run_campaign",
 ]
 
 #: Counter prefixes snapshotted around every campaign run.
 _WATCHED_COUNTERS = (
     "solver.guard_",
     "analyzer.quarantined_points",
-    "analyzer.batch_fallbacks",
     "parallel.",
     "service.store.",
     "service.journal.",
@@ -206,13 +203,6 @@ class SolverNaNInjector(_HookInjector):
             return []
         u = point["u"]
         if isinstance(u, tuple):
-            lanes = info.get("lanes")
-            if lanes is not None:
-                # A forked sub-batch: its columns are a lane subset.
-                return [
-                    j for j, lane in enumerate(lanes)
-                    if u[lane] == u_target
-                ]
             return [i for i, value in enumerate(u) if value == u_target]
         return [0] if u == u_target else []
 
@@ -663,8 +653,3 @@ def run_injection_campaign(
             telemetry.disable()
     return report
 
-
-#: Compatibility alias.  "Campaign" without qualification is ambiguous
-#: since the stress-corner sweep campaigns of :mod:`repro.campaign`
-#: exist; prefer :func:`run_injection_campaign` in new code.
-run_campaign = run_injection_campaign

@@ -169,7 +169,6 @@ class AnalyzerSpec:
     n_rows: int = 3
     victim_row: int = 0
     grid: Optional[SweepGrid] = None
-    batch_u: bool = True
     grid_engine: bool = True
     guard_policy: Optional[GuardPolicy] = None
 
@@ -180,7 +179,6 @@ class AnalyzerSpec:
             n_rows=self.n_rows,
             victim_row=self.victim_row,
             grid=self.grid,
-            batch_u=self.batch_u,
             grid_engine=self.grid_engine,
             guard_policy=self.guard_policy,
         )
@@ -926,7 +924,6 @@ def survey_locations(
     n_r: int = 16,
     n_u: int = 12,
     probes: Optional[Sequence[str]] = None,
-    batch_u: bool = True,
     grid_engine: bool = True,
     resilience: Optional[Resilience] = None,
     guard_policy: Optional[GuardPolicy] = None,
@@ -960,7 +957,6 @@ def survey_locations(
             location,
             technology=technology,
             grid=default_grid_for(location, n_r=n_r, n_u=n_u),
-            batch_u=batch_u,
             grid_engine=grid_engine,
             guard_policy=guard_policy,
         ).validate()

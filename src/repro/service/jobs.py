@@ -11,12 +11,12 @@ submissions with the same address are the same computation, so the
 queue coalesces them into one job and the result store serves repeats
 without recomputation (``docs/SERVICE.md``).
 
-Execution *hints* — ``jobs`` (worker-process count), ``batch_u`` and
+Execution *hints* — ``jobs`` (worker-process count) and
 ``grid_engine`` — are deliberately **excluded** from the address: the
-fan-out, the batched U-axis and the stacked ``(R_def, U)`` grid solver
-are bit-identical to their serial/scalar twins (see
-``docs/PERFORMANCE.md``), so a 1-worker and an 8-worker submission of
-the same sweep rightly dedupe to one result.
+fan-out and the stacked ``(R_def, U)`` grid solver are bit-identical to
+their serial/scalar twins (see ``docs/PERFORMANCE.md``), so a 1-worker
+and an 8-worker submission of the same sweep rightly dedupe to one
+result.
 
 :data:`SERVICE_EXPERIMENTS` is the registry the scheduler dispatches
 on: every CLI experiment is servable; the sweep experiments accept grid
@@ -90,7 +90,6 @@ def _run_table1(spec: "JobSpec", resilience: Any) -> Any:
         n_u=spec.resolved_n_u(),
         max_extra_ops=spec.resolved_max_extra_ops(),
         jobs=spec.jobs,
-        batch_u=spec.batch_u,
         grid_engine=spec.grid_engine,
         resilience=resilience,
         guard_policy=spec.resolved_guard_policy(),
@@ -227,7 +226,6 @@ class JobSpec:
     #: Execution hints — identical results for any value (docs/PERFORMANCE.md),
     #: therefore NOT part of the content address.
     jobs: int = 1
-    batch_u: bool = True
     grid_engine: bool = True
 
     def __post_init__(self) -> None:
@@ -254,6 +252,12 @@ class JobSpec:
     def validate(self) -> "JobSpec":
         """Check every field against the experiment's profile; return self."""
         profile = self.profile()
+        for flag in ("check_marginal", "grid_engine"):
+            value = getattr(self, flag)
+            if not isinstance(value, bool):
+                raise SpecValidationError(
+                    "JobSpec", flag, value, "a boolean (true or false)"
+                )
         if self.opens is not None:
             if not profile.takes_opens:
                 raise SpecValidationError(
@@ -332,7 +336,11 @@ class JobSpec:
             # so an inconsistent override set (vdd below v_precharge,
             # non-positive timing, ...) fails at submission time.
             self.resolved_technology()
-        if not isinstance(self.jobs, int) or self.jobs < 1:
+        if (
+            not isinstance(self.jobs, int)
+            or isinstance(self.jobs, bool)
+            or self.jobs < 1
+        ):
             raise SpecValidationError(
                 "JobSpec", "jobs", self.jobs, "an integer >= 1"
             )
@@ -406,8 +414,7 @@ class JobSpec:
     def canonical(self) -> Dict[str, Any]:
         """The computation identity: every result-shaping field, resolved.
 
-        Execution hints (``jobs``, ``batch_u``, ``grid_engine``) are
-        absent by design;
+        Execution hints (``jobs``, ``grid_engine``) are absent by design;
         grids appear as their point-exact signatures.
         """
         profile = self.profile()
@@ -454,7 +461,6 @@ class JobSpec:
                 dict(self.technology) if self.technology is not None else None
             ),
             "jobs": self.jobs,
-            "batch_u": self.batch_u,
             "grid_engine": self.grid_engine,
         }
 
@@ -494,6 +500,14 @@ class JobSpec:
                 "JobSpec", "technology", technology,
                 "an object of Technology field overrides",
             )
+        # ``batch_u`` switched a since-removed U-axis batching engine.
+        # It is still accepted, and ignored, so that journal records
+        # written before its removal replay instead of being dropped.
+        batch_u = data.get("batch_u", True)
+        if not isinstance(batch_u, bool):
+            raise SpecValidationError(
+                "JobSpec", "batch_u", batch_u, "a boolean (true or false)"
+            )
         spec = cls(
             experiment=data["experiment"],
             opens=opens,
@@ -501,11 +515,10 @@ class JobSpec:
             n_u=data.get("n_u"),
             max_extra_ops=data.get("max_extra_ops"),
             guard_policy=data.get("guard_policy"),
-            check_marginal=bool(data.get("check_marginal", False)),
+            check_marginal=data.get("check_marginal", False),
             technology=technology,
             jobs=data.get("jobs", 1),
-            batch_u=bool(data.get("batch_u", True)),
-            grid_engine=bool(data.get("grid_engine", True)),
+            grid_engine=data.get("grid_engine", True),
         )
         return spec.validate()
 

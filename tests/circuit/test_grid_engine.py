@@ -193,6 +193,7 @@ def _labels(analyzer, sos, floating, grid):
     "location,floating,sos_text",
     [
         (OpenLocation.BL_PRECHARGE_CELLS, FloatingNode.BIT_LINE, "1r1"),
+        (OpenLocation.CELL, FloatingNode.CELL, "0r0"),
         (OpenLocation.SENSE_AMPLIFIER, FloatingNode.BIT_LINE, "0w1"),
         (OpenLocation.WORD_LINE, FloatingNode.WORD_LINE, "1r1"),
     ],
@@ -200,9 +201,7 @@ def _labels(analyzer, sos, floating, grid):
 def test_region_map_grid_equals_scalar(location, floating, sos_text):
     grid = default_grid_for(location, n_r=5, n_u=4)
     sos = parse_sos(sos_text)
-    scalar = ColumnFaultAnalyzer(
-        location, grid=grid, batch_u=False, grid_engine=False
-    )
+    scalar = ColumnFaultAnalyzer(location, grid=grid, grid_engine=False)
     gridded = ColumnFaultAnalyzer(location, grid=grid, grid_engine=True)
     assert _labels(scalar, sos, floating, grid) == _labels(
         gridded, sos, floating, grid
@@ -226,9 +225,7 @@ def test_lane_disagreement_forks_instead_of_demoting():
         telemetry.reset()
     assert counters.get("column.grid_forks", 0) > 0
     assert counters.get("column.grid_demotions", 0) == 0
-    scalar = ColumnFaultAnalyzer(
-        location, grid=grid, batch_u=False, grid_engine=False
-    )
+    scalar = ColumnFaultAnalyzer(location, grid=grid, grid_engine=False)
     assert grid_labels == _labels(scalar, sos, FloatingNode.BIT_LINE, grid)
 
 
@@ -238,8 +235,7 @@ def test_full_survey_grid_equals_scalar():
 
     def fingerprint(grid_engine):
         analyzer = ColumnFaultAnalyzer(
-            location, grid=grid, grid_engine=grid_engine,
-            batch_u=grid_engine,
+            location, grid=grid, grid_engine=grid_engine
         )
         return [
             (f.location, f.floating, f.probe_sos, f.ffm, f.region.labels)

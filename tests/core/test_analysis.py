@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.circuit.defects import FloatingNode, OpenLocation
 from repro.core.analysis import (
     ColumnFaultAnalyzer,
@@ -161,3 +162,57 @@ class TestSemantics:
     def test_row_mapping(self, open4):
         assert open4._row_of("v") == open4.victim_row
         assert open4._row_of("BL") != open4.victim_row
+
+
+# -- observe_grid over a partly cached tile -------------------------------------
+
+#: Warm points ``(row, lane)`` on a 5x4 tile: rows 0 and 2 miss the same
+#: lanes (one two-member tile), row 3 misses two lanes (a one-member
+#: tile), row 4 is fully cached (no tile), row 1 misses everything.
+_WARM = ((0, 1), (2, 1), (3, 0), (3, 2), (4, 0), (4, 1), (4, 2), (4, 3))
+
+
+@pytest.mark.parametrize(
+    "location,floating,sos_text",
+    [
+        (OpenLocation.BL_PRECHARGE_CELLS, FloatingNode.BIT_LINE, "1r1"),
+        (OpenLocation.CELL, FloatingNode.CELL, "0r0"),
+        (OpenLocation.WORD_LINE, FloatingNode.WORD_LINE, "1r1"),
+    ],
+)
+def test_observe_grid_runs_one_tile_per_missing_lane_set(
+    location, floating, sos_text
+):
+    grid = default_grid_for(location, n_r=5, n_u=4)
+    sos = parse_sos(sos_text)
+    r_values, u_values = grid.r_values, grid.u_values
+    analyzer = ColumnFaultAnalyzer(location, grid=grid)
+    warm = {
+        (i, j): analyzer.observe(sos, r_values[i], u_values[j], floating)
+        for i, j in _WARM
+    }
+    missing_sets = {
+        tuple(j for j in range(len(u_values)) if (i, j) not in warm)
+        for i in range(len(r_values))
+    } - {()}
+    assert len(missing_sets) == 3
+    telemetry.enable()
+    telemetry.reset()
+    try:
+        tile = analyzer.observe_grid(sos, r_values, u_values, floating)
+        counters = telemetry.get_metrics().snapshot()["counters"]
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    oracle = ColumnFaultAnalyzer(location, grid=grid, grid_engine=False)
+    expected = oracle.observe_grid(sos, r_values, u_values, floating)
+    for i, row in enumerate(tile):
+        for j, obs in enumerate(row):
+            if (i, j) in warm:
+                assert obs is warm[(i, j)]
+            else:
+                assert obs == expected[i][j]
+    assert counters.get("analyzer.grid_tiles", 0) == len(missing_sets)
+    assert counters.get("analyzer.sos_executions", 0) == (
+        len(r_values) * len(u_values) - len(warm)
+    )

@@ -1,11 +1,18 @@
-"""Batched U-axis execution agrees with scalar observation, plus the
-axis-construction regression (``n < 2`` with ``hi != lo`` must raise)."""
+"""Batched observation of partly cached rows agrees with scalar
+observation, plus the axis-construction regression (``n < 2`` with
+``hi != lo`` must raise).
+
+"Batched" is the grid engine meeting rows that already hold some cached
+points: each such row runs as a grid tile over just the ``U`` lanes it
+misses.  "Scalar" is the ``grid_engine=False`` oracle on a cold analyzer.
+"""
 
 import pytest
 
 from repro.circuit.defects import FloatingNode, OpenLocation
 from repro.core.analysis import (
     ColumnFaultAnalyzer,
+    PROBE_SOSES,
     SweepGrid,
     _lin_space,
     _log_space,
@@ -50,6 +57,14 @@ def _label_grid(analyzer, sos, floating, grid):
     return analyzer.region_map(sos, floating, grid=grid).labels
 
 
+def _warm_diagonal(analyzer, sos, floating, grid):
+    """Observe one point per ``R`` row, walking the ``U`` lanes in turn,
+    so every row of the next map over ``grid`` is partly cached."""
+    n_u = len(grid.u_values)
+    for i, r in enumerate(grid.r_values):
+        analyzer.observe(sos, r, grid.u_values[i % n_u], floating)
+
+
 @pytest.mark.parametrize(
     "location,floating,sos_text",
     [
@@ -62,31 +77,12 @@ def _label_grid(analyzer, sos, floating, grid):
 def test_region_map_batch_equals_scalar(location, floating, sos_text):
     grid = default_grid_for(location, n_r=5, n_u=4)
     sos = parse_sos(sos_text)
-    scalar = ColumnFaultAnalyzer(location, grid=grid, batch_u=False)
-    batched = ColumnFaultAnalyzer(location, grid=grid, batch_u=True)
+    scalar = ColumnFaultAnalyzer(location, grid=grid, grid_engine=False)
+    batched = ColumnFaultAnalyzer(location, grid=grid)
+    _warm_diagonal(batched, sos, floating, grid)
     assert _label_grid(scalar, sos, floating, grid) == _label_grid(
         batched, sos, floating, grid
     )
-
-
-def test_observe_batch_returns_cached_and_fresh_points():
-    location = OpenLocation.BL_PRECHARGE_CELLS
-    grid = default_grid_for(location, n_r=4, n_u=4)
-    analyzer = ColumnFaultAnalyzer(location, grid=grid)
-    r = grid.r_values[2]
-    sos = parse_sos("1r1")
-    # Warm one U point the scalar way, then batch the full column.
-    warm = analyzer.observe(sos, r, grid.u_values[1], FloatingNode.BIT_LINE)
-    column = analyzer.observe_batch(
-        sos, r, grid.u_values, FloatingNode.BIT_LINE
-    )
-    assert column[1] is warm  # cache-resident point returned as-is
-    scalar = ColumnFaultAnalyzer(location, grid=grid, batch_u=False)
-    for u, obs in zip(grid.u_values, column):
-        ref = scalar.observe(sos, r, u, FloatingNode.BIT_LINE)
-        assert (obs.fp, obs.ffm, obs.faulty_value, obs.read_value) == (
-            ref.fp, ref.ffm, ref.faulty_value, ref.read_value
-        )
 
 
 def test_full_survey_batch_equals_scalar():
@@ -94,11 +90,15 @@ def test_full_survey_batch_equals_scalar():
     location = OpenLocation.BL_SENSEAMP_IO
     grid = default_grid_for(location, n_r=4, n_u=3)
 
-    def fingerprint(batch_u):
-        analyzer = ColumnFaultAnalyzer(location, grid=grid, batch_u=batch_u)
+    def fingerprint(analyzer):
         return [
             (f.location, f.floating, f.probe_sos, f.ffm, f.region.labels)
             for f in analyzer.survey()
         ]
 
-    assert fingerprint(True) == fingerprint(False)
+    batched = ColumnFaultAnalyzer(location, grid=grid)
+    for plan in batched.sweep_plans():
+        for text in PROBE_SOSES:
+            _warm_diagonal(batched, parse_sos(text), plan, grid)
+    scalar = ColumnFaultAnalyzer(location, grid=grid, grid_engine=False)
+    assert fingerprint(batched) == fingerprint(scalar)

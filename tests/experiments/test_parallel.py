@@ -112,7 +112,7 @@ def test_fanout_stats_ratios():
 
 
 def test_analyzer_spec_roundtrip():
-    spec = AnalyzerSpec(OpenLocation.CELL, batch_u=False)
+    spec = AnalyzerSpec(OpenLocation.CELL, grid_engine=False)
     analyzer = spec.build()
     assert analyzer.location is OpenLocation.CELL
-    assert analyzer.batch_u is False
+    assert analyzer.grid_engine is False

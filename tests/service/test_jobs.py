@@ -27,7 +27,7 @@ class TestContentAddress:
     def test_execution_hints_do_not_change_the_address(self):
         spec = JobSpec("table1", opens=("CELL",), n_r=4, n_u=3)
         assert spec.with_jobs(8).address == spec.address
-        assert replace(spec, batch_u=False).address == spec.address
+        assert replace(spec, grid_engine=False).address == spec.address
 
     @pytest.mark.parametrize("name,func", [
         ("escapes", "run_escapes"), ("diagnosis", "run_diagnosis"),
@@ -130,9 +130,31 @@ class TestJsonRoundTrip:
         spec = JobSpec(
             "table1", opens=("CELL",), n_r=4, n_u=3, max_extra_ops=2,
             guard_policy="quarantine", check_marginal=True, jobs=2,
-            batch_u=False,
+            grid_engine=False,
         )
         assert JobSpec.from_json(spec.to_json()) == spec
+
+    def test_record_with_retired_batch_u_key_parses_unchanged(self):
+        # Journal records written before the U-axis batching engine was
+        # removed still carry its switch; they must replay, not drop.
+        spec = JobSpec("table1", opens=("CELL",), n_r=4, n_u=3)
+        record = dict(spec.to_json(), batch_u=False)
+        parsed = JobSpec.from_json(record)
+        assert parsed == spec
+        assert parsed.address == spec.address
+
+    @pytest.mark.parametrize("field,value", [
+        ("check_marginal", "false"),
+        ("check_marginal", 1),
+        ("grid_engine", "false"),
+        ("grid_engine", None),
+        ("batch_u", "false"),
+        ("jobs", True),
+    ])
+    def test_non_boolean_flags_and_boolean_jobs_rejected(self, field, value):
+        with pytest.raises(SpecValidationError) as err:
+            JobSpec.from_json({"experiment": "table1", field: value})
+        assert err.value.field == field
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SpecValidationError):

@@ -66,6 +66,30 @@ class TestInProcessRecovery:
         assert payload["address"] == job.address
         assert calls.count == 1
 
+    def test_record_with_retired_batch_u_key_recovers_with_same_id(
+        self, tmp_path, register_experiment
+    ):
+        # A spec journaled before the batch_u switch was removed.
+        calls = register_experiment("svc-recover")
+        work_dir, _ = _dirs(tmp_path)
+        os.makedirs(work_dir)
+        spec = JobSpec(experiment="svc-recover")
+        journal = JobJournal(os.path.join(work_dir, "jobs.journal"))
+        try:
+            journal.submit(
+                "legacy-job", spec.address,
+                dict(spec.to_json(), batch_u=False),
+            )
+        finally:
+            journal.close()
+
+        with _quiet_service(tmp_path) as service:
+            assert service.recovered_jobs == 1
+            client = ServiceClient(service.url)
+            payload = client.wait("legacy-job", timeout=10)
+        assert payload["address"] == spec.address
+        assert calls.count == 1
+
     def test_in_flight_job_resumes_as_recovered(
         self, tmp_path, register_experiment
     ):

@@ -133,6 +133,18 @@ class TestErrorsOverHTTP:
                 client.submit({"experiment": "table1", "priority": "high"})
             assert err.value.status == 400
 
+    def test_string_boolean_is_400(self):
+        # "false" must not be truthy: a string flag is refused outright
+        # instead of switching the marginal check on.
+        with _service() as service:
+            client = ServiceClient(service.url)
+            with pytest.raises(ServiceResponseError) as err:
+                client.submit(
+                    {"experiment": "table1", "check_marginal": "false"}
+                )
+            assert err.value.status == 400
+            assert err.value.payload["error"] == "invalid-spec"
+
     def test_result_before_done_is_409(self, register_experiment):
         def exploding(spec, resilience):
             raise RuntimeError("boom")

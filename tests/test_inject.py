@@ -128,8 +128,9 @@ class TestSolverNaNInjector:
             analyzer.survey()
         points = {(p.r_def, p.u) for p in analyzer.quarantined}
         assert points == {target}
-        # The batch guard re-ran the column scalar to isolate the lane.
-        assert _counter("analyzer.batch_fallbacks") > 0
+        # The grid demoted the hit member and re-ran it scalar to isolate
+        # the lane.
+        assert _counter("analyzer.grid_demotions") > 0
 
 
 class TestVoltagePerturbationInjector:
