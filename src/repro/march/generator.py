@@ -37,7 +37,7 @@ from ..memory.array import Topology
 from ..memory.fault_machine import NodeKind, _infer_kind
 from .coverage import coverage_matrix
 from .notation import Direction, MarchElement, MarchOp, MarchTest
-from .simulator import detects
+from .simulator import _fails_fault_free, detects
 
 __all__ = ["GeneratedMarch", "generate_march"]
 
@@ -179,7 +179,7 @@ def _minimize(
     while i < len(elements) and len(elements) > 1:
         candidate_elements = elements[:i] + elements[i + 1:]
         candidate = MarchTest(test.name, tuple(candidate_elements))
-        if _sound(candidate, topology) and all(
+        if _sound(candidate) and all(
             detects(candidate, fp, topology) for fp in faults
         ):
             elements = candidate_elements
@@ -188,13 +188,6 @@ def _minimize(
     return MarchTest(test.name, tuple(elements))
 
 
-def _sound(test: MarchTest, topology: Topology) -> bool:
+def _sound(test: MarchTest) -> bool:
     """A fault-free memory must pass the test (no false positives)."""
-    from ..memory.simulator import FaultyMemory
-    from .simulator import run_march
-
-    for either_as in (Direction.UP, Direction.DOWN):
-        memory = FaultyMemory(topology)
-        if run_march(test, memory, either_as=either_as).detected:
-            return False
-    return True
+    return not _fails_fault_free(test)

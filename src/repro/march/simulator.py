@@ -18,6 +18,12 @@ oracle.
 the paper's floating voltages mean a defective memory's initial state is
 unknown, so the test must fail for **every** initial floating-node value,
 every victim location and both resolutions of ``⇕`` elements.
+:func:`escape_cases` decides those scenarios on each victim row's
+projected operation stream: the fault machine only sees its victim's
+operations and the values driven onto the victim's bit line.  One
+:func:`run_march` per scenario on a fresh
+:class:`~repro.memory.simulator.FaultyMemory` stays the oracle
+(:func:`_simulated_escape_cases`).
 """
 
 from __future__ import annotations
@@ -328,17 +334,6 @@ def _run_group(
     return out
 
 
-def _scenarios(
-    fp: FaultPrimitive,
-    topology: Topology,
-    node_values: Sequence[Optional[int]],
-    kind: Optional[NodeKind],
-):
-    for victim in topology.addresses():
-        for node_value in node_values:
-            yield victim, node_value
-
-
 def detects(
     test: MarchTest,
     fp: FaultPrimitive,
@@ -365,6 +360,13 @@ def detects(
     )
 
 
+def _directions(both_either_directions: bool) -> Tuple[Direction, ...]:
+    return (
+        (Direction.UP, Direction.DOWN) if both_either_directions
+        else (Direction.UP,)
+    )
+
+
 def detects_coupling(
     test: MarchTest,
     ffm,
@@ -382,10 +384,7 @@ def detects_coupling(
     from ..memory.coupling_machine import CouplingFault
 
     topology = topology or Topology(n_rows=4, n_cols=2)
-    directions = (
-        (Direction.UP, Direction.DOWN) if both_either_directions
-        else (Direction.UP,)
-    )
+    directions = _directions(both_either_directions)
     for aggressor in topology.addresses():
         for victim in topology.addresses():
             if aggressor == victim:
@@ -414,22 +413,167 @@ def escape_cases(
     kind: Optional[NodeKind] = None,
     both_either_directions: bool = True,
 ) -> Tuple[Tuple[int, Optional[int], Direction], ...]:
-    """The scenarios (victim, node value, ⇕ resolution) the test misses."""
+    """The scenarios (victim, node value, ⇕ resolution) the test misses.
+
+    Decided without simulating whole memories.  A fault machine only
+    reacts to its victim's operations, to the values driven onto the
+    victim's bit line and to the ticks between elements, so each victim
+    row's projected stream (:func:`_row_streams`) decides every scenario
+    of that row; the non-victim cells matter only when they fail the
+    march themselves (:func:`_fails_fault_free`).  The result, order
+    included, and the exceptions raised equal those of
+    :func:`_simulated_escape_cases`, which runs one :func:`run_march`
+    per scenario.
+    """
     topology = topology or Topology(n_rows=4, n_cols=2)
-    directions = (
-        (Direction.UP, Direction.DOWN) if both_either_directions
-        else (Direction.UP,)
+    directions = _directions(both_either_directions)
+    if not node_values:
+        return ()  # no scenario builds a machine, so none can raise
+    # Build a machine before any shortcut, so an FP whose node kind
+    # cannot be inferred raises as the simulation would.
+    sensitizing = BehavioralFault.from_fp(
+        fp, 0, topology, kind=kind
+    ).sensitizing_op
+    telemetry.count(
+        "march.qualified_scenarios",
+        topology.size * len(node_values) * len(directions),
     )
+    if topology.size > 1 and _fails_fault_free(test):
+        # Some non-victim cell fails in every scenario.  Only a victim
+        # read that trips the machine's missing-R assertion first could
+        # change that, and only the full simulation can time it.
+        if (sensitizing is not None and sensitizing.is_read
+                and fp.read_value is None):
+            return _simulated_escape_cases(
+                test, fp, topology, node_values, kind, both_either_directions
+            )
+        return ()
+    # Rows that see the same stream share its verdicts.
+    distinct: Dict[_Stream, int] = {}
+    stream_of: Dict[Tuple[int, Direction], int] = {}
+    for either_as in directions:
+        rows = _row_streams(test, topology.n_rows, either_as)
+        for row, stream in enumerate(rows):
+            stream_of[row, either_as] = distinct.setdefault(
+                stream, len(distinct)
+            )
+    streams = list(distinct)
+    verdicts: Dict[Tuple[int, Optional[int]], bool] = {}
     escapes: List[Tuple[int, Optional[int], Direction]] = []
-    for victim, node_value in _scenarios(fp, topology, node_values, kind):
-        for either_as in directions:
-            fault = BehavioralFault.from_fp(
-                fp, victim, topology, node_value=node_value, kind=kind
-            )
-            memory = FaultyMemory(topology, fault)
-            result = run_march(
-                test, memory, either_as=either_as, stop_at_first=True
-            )
-            if not result.detected:
-                escapes.append((victim, node_value, either_as))
+    for victim in topology.addresses():
+        row = victim // topology.n_cols
+        for node_value in node_values:
+            for either_as in directions:
+                key = (stream_of[row, either_as], node_value)
+                if key not in verdicts:
+                    fault = BehavioralFault.from_fp(
+                        fp, victim, topology, node_value=node_value,
+                        kind=kind,
+                    )
+                    verdicts[key] = _escapes(fault, streams[key[0]])
+                if verdicts[key]:
+                    escapes.append((victim, node_value, either_as))
+    return tuple(escapes)
+
+
+def _fails_fault_free(test: MarchTest) -> bool:
+    """Does a cell of a 0-filled fault-free memory fail the march?
+
+    Every address receives the same operation sequence, so one cell
+    answers for all of them, in either ⇕ resolution.
+    """
+    state = 0
+    for element in test.march_elements:
+        for op in element.ops:
+            if op.is_write:
+                state = op.value
+            elif op.value != state:
+                return True
+    return False
+
+
+#: A projected operation stream: ``(code, value)`` events.
+_Stream = Tuple[Tuple[str, int], ...]
+
+#: The precharge cycle that closes every operation-carrying element.
+_TICK = ("t", 0)
+
+
+def _row_streams(
+    test: MarchTest, n_rows: int, either_as: Direction
+) -> List[_Stream]:
+    """Per victim row, the events its fault machine reacts to.
+
+    In march order: the victim's own operations (``("r", expected)``,
+    ``("w", value)``), the value left on its bit line by the column-mates
+    an element visits before it (``("c", value)``: the element's last
+    operation value, written, or restored by the sense amplifier on a
+    march that fault-free cells pass) and one tick per non-``Del``
+    element.  Column-mates visited after the victim drive the value the
+    victim's own last operation left, unless that operation already
+    failed.  Other columns never reach the machine, so every victim of
+    a row sees the same stream.
+    """
+    top, bottom = 0, n_rows - 1
+    leading_row = {  # the row an element visits first
+        Direction.UP: top,
+        Direction.DOWN: bottom,
+        Direction.EITHER: top if either_as is Direction.UP else bottom,
+    }
+    streams: List[List[Tuple[str, int]]] = [[] for _ in range(n_rows)]
+    for element in test.march_elements:
+        own = tuple((op.kind, op.value) for op in element.ops) + (_TICK,)
+        driven = (("c", element.ops[-1].value),) + own
+        lead = leading_row[element.direction]
+        for row, events in enumerate(streams):
+            events.extend(own if row == lead else driven)
+    return [tuple(events) for events in streams]
+
+
+def _escapes(fault: BehavioralFault, stream: _Stream) -> bool:
+    """Does ``fault`` pass one stream of :func:`_row_streams` with no
+    victim read mismatching?  A column-mate event drives the bit line
+    through a write to the victim's column-mate in the next row (a
+    one-row topology has no column-mate, and its streams no such
+    event)."""
+    victim = fault.victim
+    mate = (victim + fault.topology.n_cols) % fault.topology.size
+    for code, value in stream:
+        if code == "r":
+            if fault.on_read(victim, value) != value:
+                return False
+        elif code == "w":
+            fault.on_write(victim, value)
+        elif code == "c":
+            fault.on_write(mate, value)
+        else:
+            fault.tick()
+    return True
+
+
+def _simulated_escape_cases(
+    test: MarchTest,
+    fp: FaultPrimitive,
+    topology: Optional[Topology] = None,
+    node_values: Sequence[Optional[int]] = (0, 1),
+    kind: Optional[NodeKind] = None,
+    both_either_directions: bool = True,
+) -> Tuple[Tuple[int, Optional[int], Direction], ...]:
+    """The oracle of :func:`escape_cases`: one fresh
+    :class:`~repro.memory.simulator.FaultyMemory` and one
+    :func:`run_march` per (victim, node value, ⇕ resolution)."""
+    topology = topology or Topology(n_rows=4, n_cols=2)
+    escapes: List[Tuple[int, Optional[int], Direction]] = []
+    for victim in topology.addresses():
+        for node_value in node_values:
+            for either_as in _directions(both_either_directions):
+                fault = BehavioralFault.from_fp(
+                    fp, victim, topology, node_value=node_value, kind=kind
+                )
+                memory = FaultyMemory(topology, fault)
+                result = run_march(
+                    test, memory, either_as=either_as, stop_at_first=True
+                )
+                if not result.detected:
+                    escapes.append((victim, node_value, either_as))
     return tuple(escapes)

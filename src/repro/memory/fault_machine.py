@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from ..core.fault_primitives import (
@@ -106,7 +107,7 @@ class BehavioralFault:
 
     # -- derived requirements ---------------------------------------------------
 
-    @property
+    @cached_property
     def sensitizing_op(self) -> Optional[Op]:
         """The last non-completing victim operation (None for state faults)."""
         plain = [
@@ -115,7 +116,7 @@ class BehavioralFault:
         ]
         return plain[-1] if plain else None
 
-    @property
+    @cached_property
     def required_state(self) -> Optional[int]:
         """Victim state needed just before the sensitizing operation."""
         op = self.sensitizing_op
@@ -133,7 +134,7 @@ class BehavioralFault:
             return completing[-1].value
         return None
 
-    @property
+    @cached_property
     def armed_value(self) -> Optional[int]:
         """Node value that sensitizes the fault.
 
@@ -146,7 +147,7 @@ class BehavioralFault:
             return None
         return completing[-1].value
 
-    @property
+    @cached_property
     def required_history(self) -> Tuple[int, ...]:
         """Victim value pattern required for VICTIM_HISTORY faults."""
         return tuple(

@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro import telemetry
 from repro.core.fault_primitives import parse_fp
 from repro.march.library import MARCH_PF_PLUS, MATS_PLUS, SCAN
 from repro.march.notation import Direction, parse_march
-from repro.march.simulator import detects, escape_cases, run_march
+from repro.march.simulator import (
+    _simulated_escape_cases,
+    detects,
+    escape_cases,
+    run_march,
+)
 from repro.memory.array import Topology
 from repro.memory.fault_machine import BehavioralFault
 from repro.memory.simulator import FaultyMemory
@@ -99,3 +105,63 @@ class TestDetects:
     def test_default_topology(self):
         fp = parse_fp("<1v [w0BL] r1v/0/0>")
         assert detects(MARCH_PF_PLUS, fp)
+
+    def test_unsound_march_is_caught_by_the_other_cells(self):
+        """Cells besides the victim fail a march that a fault-free memory
+        fails, so every scenario is flagged; a lone victim decides alone."""
+        fp = parse_fp("<1v [w0BL] r1v/0/0>")
+        unsound = parse_march("{⇕(r1)}", "unsound")
+        assert escape_cases(unsound, fp, Topology(2, 1)) == ()
+        lone = ((0, 1, Direction.UP), (0, 1, Direction.DOWN))
+        assert escape_cases(unsound, fp, Topology(1, 1)) == lone
+        assert _simulated_escape_cases(unsound, fp, Topology(1, 1)) == lone
+
+    @pytest.mark.parametrize("fp, test, topology, node_values, misses", [
+        # The sensitizing w1 leaves the cell at 0 but drives 1 onto the
+        # bit line, so the rewrite that follows stores 1 and r1 passes.
+        ("<0v [w0BL] w1v/0/->", "{⇕(w0,w1,w1,r1)}", Topology(1, 1), (0,),
+         ((0, 0, Direction.UP), (0, 0, Direction.DOWN))),
+        # The victim's r1 restores 1 onto the bit line its column-mate
+        # left at 0, which arms the w0 that follows.
+        ("<1v [w1BL] w0v/1/->", "{⇕(w1); ⇑(r1,w0); ⇑(r0)}",
+         Topology(2, 1), (0, 1), ()),
+        # An active floating-word-line state fault flips the cell in the
+        # precharge after an element, with no write needed.
+        ("<0/1/->", "{⇑(r0); ⇑(r0)}", Topology(2, 1), (1,), ()),
+        # A ⇕ element resolved as ⇓ visits the bottom row first: its w0
+        # arms the top-row victim, and the bottom-row victim escapes.
+        ("<1v [w0BL] r1v/0/0>", "{⇑(w1); ⇕(r1,w0)}", Topology(2, 1), (0, 1),
+         ((0, 0, Direction.UP), (0, 1, Direction.UP),
+          (1, 0, Direction.DOWN), (1, 1, Direction.DOWN))),
+    ])
+    def test_projection_keeps_the_machine_semantics(
+        self, fp, test, topology, node_values, misses
+    ):
+        for qualify in (escape_cases, _simulated_escape_cases):
+            assert qualify(
+                parse_march(test), parse_fp(fp), topology, node_values
+            ) == misses
+
+    def test_exceptions_survive_the_fault_free_shortcut(self):
+        unsound = parse_march("{⇕(r0,r1)}", "unsound")
+        mixed = parse_fp("<0v [w1v w1BL] r0v/1/1>")  # no node kind
+        # A sensitizing read with no R: the machine asserts on trigger.
+        no_read_value = parse_fp("<0r0 w1BL/1/->")
+        for qualify in (escape_cases, _simulated_escape_cases):
+            with pytest.raises(ValueError, match="node kind"):
+                qualify(unsound, mixed, TOPO)
+            with pytest.raises(AssertionError):
+                qualify(unsound, no_read_value, TOPO, (1,))
+
+    def test_qualification_counts_scenarios_not_runs(self):
+        fp = parse_fp("<1v [w0BL] r1v/0/0>")
+        telemetry.enable()
+        telemetry.reset()
+        try:
+            escape_cases(MARCH_PF_PLUS, fp, TOPO)
+            counters = telemetry.get_metrics().snapshot()["counters"]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert counters["march.qualified_scenarios"] == TOPO.size * 2 * 2
+        assert "march.runs" not in counters
