@@ -285,6 +285,17 @@ class Observation:
         return self.fp is not None
 
 
+def _label_of(obs: Observation, label: str):
+    """The region-map label of one observation (see ``region_map``)."""
+    if obs.quarantined:
+        return QUARANTINED
+    if obs.fp is None:
+        return None
+    if label == "fp":
+        return obs.fp
+    return obs.ffm if obs.ffm is not None else obs.fp.to_string()
+
+
 @dataclass(frozen=True)
 class QuarantinedPoint:
     """Full context of one grid point removed from a survey by a guard trip.
@@ -386,7 +397,10 @@ class ColumnFaultAnalyzer:
             location, vdd=self.technology.vdd
         )
         self.max_cache_entries = max_cache_entries
-        self._cache: Dict[Tuple, Observation] = {}
+        # Observations keyed by ``(tag, R_def, U)``; the tag interns the
+        # tile's ``(SOS, floating)`` pair, hashed once per tile.
+        self._cache: Dict[Tuple[int, float, float], Observation] = {}
+        self._tags: Dict[Tuple[SOS, Tuple[FloatingNode, ...]], int] = {}
         self._cache_hits = 0
         self._cache_misses = 0
         # An explicit policy applies to the process-global solver guards,
@@ -431,6 +445,7 @@ class ColumnFaultAnalyzer:
     def cache_clear(self) -> None:
         """Drop every cached observation and zero the statistics."""
         self._cache.clear()
+        self._tags.clear()
         self._cache_hits = 0
         self._cache_misses = 0
 
@@ -485,27 +500,6 @@ class ColumnFaultAnalyzer:
         if not fp.is_faulty():
             return Observation(None, None, faulty_value, read_value)
         return Observation(fp, classify_fp(fp), faulty_value, read_value)
-
-    def _cached(self, key: Tuple) -> Optional[Observation]:
-        """Look one point up in the observation cache; count the outcome."""
-        telemetry.count("analyzer.observe_calls")
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._cache_hits += 1
-            telemetry.count("analyzer.cache_hits")
-        else:
-            self._cache_misses += 1
-            telemetry.count("analyzer.cache_misses")
-        return hit
-
-    def _cache_store(self, key: Tuple, obs: Observation) -> None:
-        if (
-            self.max_cache_entries is not None
-            and len(self._cache) >= self.max_cache_entries
-        ):
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = obs
-        telemetry.gauge("analyzer.cache_size", len(self._cache))
 
     def _execute_scalar(
         self, sos: SOS, r_def: float, u: float,
@@ -736,11 +730,11 @@ class ColumnFaultAnalyzer:
                         snaps.popitem(last=False)
         if entry is not None and batch.demoted:
             self._grid_prefix_cache.pop(base_key, None)
-        faulty = batch.logical_states(self.victim_row)
-        read_of: Dict[int, np.ndarray] = {}
+        faulty = batch.logical_states(self.victim_row).tolist()
+        read_of: Dict[int, List[int]] = {}
         if sos.ends_in_read and last_victim_read is not None:
             members_at_read, reads = last_victim_read
-            read_of = {m: reads[j] for j, m in enumerate(members_at_read)}
+            read_of = dict(zip(members_at_read, reads.tolist()))
         outcomes: Dict[int, List[Tuple[int, Optional[int]]]] = {}
         if gate_row is not None:
             # Width-1 members: member i*n_u + j holds point (r_i, u_j).
@@ -750,8 +744,7 @@ class ColumnFaultAnalyzer:
             # and the scalar re-run re-applies quarantine per point).
             n_u = len(u_values)
             point_f = {
-                m: int(faulty[j][0])
-                for j, m in enumerate(batch.active_members)
+                m: faulty[j][0] for j, m in enumerate(batch.active_members)
             }
             demoted_rows: Dict[int, str] = {}
             for i in range(len(r_values)):
@@ -760,7 +753,7 @@ class ColumnFaultAnalyzer:
                     outcomes[i] = [
                         (
                             point_f[m],
-                            int(read_of[m][0]) if sos.ends_in_read else None,
+                            read_of[m][0] if sos.ends_in_read else None,
                         )
                         for m in members
                     ]
@@ -774,15 +767,11 @@ class ColumnFaultAnalyzer:
                 "analyzer.sos_executions", len(outcomes) * len(u_values)
             )
             return outcomes, demoted_rows
+        no_reads = [None] * len(u_values)
         for j, member in enumerate(batch.active_members):
-            reads_row = read_of.get(member) if sos.ends_in_read else None
-            outcomes[member] = [
-                (
-                    int(faulty[j][k]),
-                    int(reads_row[k]) if reads_row is not None else None,
-                )
-                for k in range(len(u_values))
-            ]
+            outcomes[member] = list(
+                zip(faulty[j], read_of.get(member, no_reads))
+            )
         # Counted on success only, per surviving member: demoted members
         # re-run scalar, and the scalar path does its own counting (keeps
         # executions == misses).
@@ -809,24 +798,50 @@ class ColumnFaultAnalyzer:
         point through the scalar oracle with unchanged guard/quarantine
         semantics — results are identical either way, the grid is purely
         an execution strategy.
+
+        Books are kept per tile: ``(SOS, floating)`` is interned once
+        for the cache keys, each distinct ``(F, R)`` outcome is classified
+        once (points with that outcome share the frozen observation), and
+        counters and the cache-size gauge are written once with totals.
         """
+        return self._observe_tile(
+            sos, r_values, u_values, floating, self.grid_engine
+        )
+
+    def _observe_tile(
+        self, sos: SOS, r_values: Sequence[float],
+        u_values: Sequence[float], floating, grid_engine: bool,
+    ) -> List[List[Observation]]:
         floating = _as_nodes(floating)
         r_values = tuple(r_values)
         u_values = tuple(u_values)
-        rows = [
-            [self._cached((sos, r, u, floating)) for u in u_values]
-            for r in r_values
-        ]
+        tag = self._tags.setdefault((sos, floating), len(self._tags))
+        cache = self._cache
+        rows = [[cache.get((tag, r, u)) for u in u_values] for r in r_values]
         groups: Dict[Tuple[int, ...], List[int]] = {}
         for i, row in enumerate(rows):
             missing = tuple(j for j, hit in enumerate(row) if hit is None)
             if missing:
                 groups.setdefault(missing, []).append(i)
+        calls = len(r_values) * len(u_values)
+        misses = sum(len(lanes) * len(rs) for lanes, rs in groups.items())
+        self._cache_hits += calls - misses
+        self._cache_misses += misses
+        # A zero total creates no counter, as per-point counting did not.
+        for name, n in (
+            ("analyzer.observe_calls", calls),
+            ("analyzer.cache_hits", calls - misses),
+            ("analyzer.cache_misses", misses),
+        ):
+            if n:
+                telemetry.count(name, n)
+        classified: Dict[Tuple[int, Optional[int]], Observation] = {}
+        cap = self.max_cache_entries
         for lanes, members in groups.items():
             tile_u = tuple(u_values[j] for j in lanes)
             outcomes: Dict[int, List[Tuple[int, Optional[int]]]] = {}
             demoted: Dict[int, str] = {}
-            if self.grid_engine:
+            if grid_engine:
                 outcomes, demoted = self._execute_grid(
                     sos, [r_values[i] for i in members], tile_u, floating
                 )
@@ -834,7 +849,7 @@ class ColumnFaultAnalyzer:
                 r = r_values[i]
                 lane_outcomes = outcomes.get(m)
                 if lane_outcomes is None:
-                    if self.grid_engine:
+                    if grid_engine:
                         telemetry.count("analyzer.grid_demotions")
                         telemetry.count(
                             "analyzer.grid_fallback_points", len(tile_u)
@@ -845,9 +860,21 @@ class ColumnFaultAnalyzer:
                         sos, r, tile_u, floating
                     )
                 for j, outcome in zip(lanes, lane_outcomes):
-                    rows[i][j] = self._record(
-                        sos, r, u_values[j], floating, outcome
-                    )
+                    u = u_values[j]
+                    if isinstance(outcome, SolverDivergenceError):
+                        obs = self._quarantine(sos, r, u, floating, outcome)
+                    else:
+                        obs = classified.get(outcome)
+                        if obs is None:
+                            obs = classified[outcome] = self._classify(
+                                sos, *outcome
+                            )
+                    if cap is not None and len(cache) >= cap:
+                        cache.pop(next(iter(cache)))
+                    cache[(tag, r, u)] = obs
+                    rows[i][j] = obs
+        if groups:
+            telemetry.gauge("analyzer.cache_size", len(cache))
         return rows  # type: ignore[return-value]
 
     def _execute_points(
@@ -869,18 +896,6 @@ class ColumnFaultAnalyzer:
                     raise
                 outcomes.append(err)
         return outcomes
-
-    def _record(
-        self, sos: SOS, r_def: float, u: float,
-        floating: Tuple[FloatingNode, ...], outcome,
-    ) -> Observation:
-        """Classify (or quarantine) one executed point and cache it."""
-        if isinstance(outcome, SolverDivergenceError):
-            obs = self._quarantine(sos, r_def, u, floating, outcome)
-        else:
-            obs = self._classify(sos, *outcome)
-        self._cache_store((sos, r_def, u, floating), obs)
-        return obs
 
     def _quarantine(
         self, sos: SOS, r_def: float, u: float,
@@ -909,13 +924,9 @@ class ColumnFaultAnalyzer:
         initialized to the same ``U``).  Under ``GuardPolicy.QUARANTINE``
         a solver guard trip is absorbed: the point is recorded on
         :attr:`quarantined` and a quarantined observation is returned.
+        The point is a one-point tile run through the scalar oracle.
         """
-        floating = _as_nodes(floating)
-        hit = self._cached((sos, r_def, u, floating))
-        if hit is not None:
-            return hit
-        (outcome,) = self._execute_points(sos, r_def, (u,), floating)
-        return self._record(sos, r_def, u, floating, outcome)
+        return self._observe_tile(sos, (r_def,), (u,), floating, False)[0][0]
 
     # -- region maps (Figs. 3 and 4) ---------------------------------------------
 
@@ -934,16 +945,6 @@ class ColumnFaultAnalyzer:
         if label not in ("ffm", "fp"):
             raise ValueError("label must be 'ffm' or 'fp'")
         grid = grid or self.grid
-
-        def label_of(obs: Observation):
-            if obs.quarantined:
-                return QUARANTINED
-            if obs.fp is None:
-                return None
-            if label == "fp":
-                return obs.fp
-            return obs.ffm if obs.ffm is not None else obs.fp.to_string()
-
         telemetry.count(
             "analyzer.grid_points", len(grid.r_values) * len(grid.u_values)
         )
@@ -951,7 +952,7 @@ class ColumnFaultAnalyzer:
             sos, grid.r_values, grid.u_values, floating
         )
         rows = tuple(
-            tuple(label_of(obs) for obs in column) for column in tile
+            tuple(_label_of(obs, label) for obs in column) for column in tile
         )
         return FPRegionMap(grid.r_values, grid.u_values, rows)
 
@@ -972,9 +973,15 @@ class ColumnFaultAnalyzer:
         differs for either nudge is *marginal* — its region assignment is
         grid-resolution-fragile, the stress-condition sensitivity studied
         by Majhi et al.  The default ``epsilon`` is 2% of the U span.
-        Returns the ``(r, u)`` coordinates of the marginal points.
+        Returns the ``(r, u)`` coordinates of the marginal points.  The
+        jittered points are labelled like ``region``: as full FPs when
+        its labels are :class:`FaultPrimitive` objects (``label="fp"``),
+        as FFMs otherwise.
         """
         floating = _as_nodes(floating)
+        label = "fp" if any(
+            isinstance(lab, FaultPrimitive) for lab in region.observed_labels
+        ) else "ffm"
         u_lo, u_hi = region.u_values[0], region.u_values[-1]
         if epsilon is None:
             span = u_hi - u_lo
@@ -998,15 +1005,7 @@ class ColumnFaultAnalyzer:
                 if u_jit == u:
                     continue
                 obs = self.observe(sos, r, u_jit, floating)
-                if obs.quarantined:
-                    jittered = QUARANTINED
-                elif obs.fp is None:
-                    jittered = None
-                else:
-                    jittered = (
-                        obs.ffm if obs.ffm is not None else obs.fp.to_string()
-                    )
-                if jittered != base:
+                if _label_of(obs, label) != base:
                     marginal.append((r, u))
                     telemetry.count("analyzer.marginal_points")
                     break

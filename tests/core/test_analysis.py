@@ -4,14 +4,16 @@ import pytest
 
 from repro import telemetry
 from repro.circuit.defects import FloatingNode, OpenLocation
+from repro.core import analysis
 from repro.core.analysis import (
     ColumnFaultAnalyzer,
+    Observation,
     PROBE_SOSES,
     SweepGrid,
     default_grid_for,
 )
-from repro.core.fault_primitives import parse_sos
-from repro.core.ffm import FFM
+from repro.core.fault_primitives import FaultPrimitive, parse_sos
+from repro.core.ffm import FFM, classify_fp
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +218,80 @@ def test_observe_grid_runs_one_tile_per_missing_lane_set(
     assert counters.get("analyzer.sos_executions", 0) == (
         len(r_values) * len(u_values) - len(warm)
     )
+
+
+# -- per-tile bookkeeping -----------------------------------------------------
+
+def test_region_map_classifies_each_distinct_outcome_once(monkeypatch):
+    calls = []
+
+    def counting_classify_fp(fp):
+        calls.append(fp)
+        return classify_fp(fp)
+
+    monkeypatch.setattr(analysis, "classify_fp", counting_classify_fp)
+    analyzer = ColumnFaultAnalyzer(OpenLocation.BL_PRECHARGE_CELLS)
+    sos = parse_sos("1r1")
+    analyzer.region_map(sos, FloatingNode.BIT_LINE)
+    cached = analyzer.observe_grid(
+        sos, analyzer.grid.r_values, analyzer.grid.u_values,
+        FloatingNode.BIT_LINE,
+    )
+    faulty = [obs for row in cached for obs in row if obs.is_faulty]
+    outcomes = {(obs.faulty_value, obs.read_value) for obs in faulty}
+    assert len(faulty) > len(outcomes)
+    assert len(calls) == len(outcomes) == 2
+
+
+def _expected_observation(analyzer, sos, r, u, floating):
+    """The per-point classification of the scalar oracle's ``(F, R)``."""
+    faulty_value, read_value = analyzer._execute_scalar(sos, r, u, floating)
+    fp = FaultPrimitive(sos, faulty_value, read_value)
+    if not fp.is_faulty():
+        return Observation(None, None, faulty_value, read_value)
+    return Observation(fp, classify_fp(fp), faulty_value, read_value)
+
+
+def test_tile_observations_equal_a_per_point_classification():
+    """One analyzer per open serves every plan and SOS, so a
+    classification shared across SOSes (or plans) would show here."""
+    soses = [parse_sos(text) for text in PROBE_SOSES + ("1w0r0", "0w1r1")]
+    points = 0
+    for location in OpenLocation:
+        grid = default_grid_for(location, n_r=4, n_u=3)
+        analyzer = ColumnFaultAnalyzer(location, grid=grid)
+        r_values, u_values = grid.r_values, grid.u_values
+        if location is OpenLocation.BL_PRECHARGE_CELLS:
+            # One partly cached tile: rows 0 and 2 hold a warm point.
+            plan = analyzer.sweep_plans()[0]
+            for i in (0, 2):
+                analyzer.observe(soses[-1], r_values[i], u_values[1], plan)
+        for plan in analyzer.sweep_plans():
+            for sos in soses:
+                tile = analyzer.observe_grid(sos, r_values, u_values, plan)
+                for r, row in zip(r_values, tile):
+                    for u, obs in zip(u_values, row):
+                        assert obs == _expected_observation(
+                            analyzer, sos, r, u, plan
+                        ), (location.name, plan, sos.to_string(), r, u)
+                        points += 1
+    assert points == 1560
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.5])
+def test_marginal_points_agree_for_ffm_and_fp_maps(epsilon):
+    """An ``fp`` map's jittered points are labelled as FPs, not FFMs."""
+    grid = SweepGrid.make(r_min=3e4, r_max=1e6, n_r=8, n_u=6)
+    analyzer = ColumnFaultAnalyzer(OpenLocation.CELL, grid=grid)
+    sos = parse_sos("0r0")
+    marginal = {}
+    for label in ("ffm", "fp"):
+        region = analyzer.region_map(sos, FloatingNode.CELL, label=label)
+        assert any(
+            region.boundary_points(lab) for lab in region.observed_labels
+        )
+        marginal[label] = analyzer.marginal_points(
+            sos, FloatingNode.CELL, region, epsilon=epsilon
+        )
+    assert marginal["fp"] == marginal["ffm"]
+    assert len(marginal["ffm"]) == (0 if epsilon is None else 2)

@@ -17,6 +17,12 @@ def fig4():
     return run_fig4(n_r=12, n_u=8)
 
 
+@pytest.fixture(scope="module")
+def fig4_default():
+    """The default 20x12 grid, whose anchors EXPERIMENTS.md records."""
+    return run_fig4()
+
+
 class TestFig3:
     def test_all_claims_hold(self, fig3):
         assert fig3.report.all_hold, fig3.report.render()
@@ -46,11 +52,13 @@ class TestFig4:
         if fig4.r_at_low_u is not None:
             assert fig4.r_at_high_u < fig4.r_at_low_u
 
-    def test_threshold_ratio_order_of_the_papers(self, fig4):
-        """Paper: 300k/150k = 2x between U=0 and U=1.6."""
-        if fig4.r_at_low_u is not None:
-            ratio = fig4.r_at_low_u / fig4.r_at_high_u
-            assert 1.2 < ratio < 4.0
+    def test_threshold_ratio_order_of_the_papers(self, fig4_default):
+        """Paper: 300k/150k = 2x between U=0 and U=1.6; here 158k/91k."""
+        low, high = fig4_default.r_at_low_u, fig4_default.r_at_high_u
+        assert low is not None and high is not None
+        assert low == pytest.approx(157_937.36, rel=1e-6)
+        assert high == pytest.approx(90_788.39, rel=1e-6)
+        assert 1.2 < low / high < 4.0
 
     def test_completed_flat(self, fig4):
         assert fig4.r_completed is not None

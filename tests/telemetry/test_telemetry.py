@@ -198,6 +198,23 @@ class TestSurveyMetricsSelfConsistent:
         assert (info.hits, info.misses) == (hits, misses)
         assert reg.gauge_value("analyzer.cache_size") == info.currsize
 
+    def test_coarse_table1_counters_are_pinned(self):
+        """Per-tile counting keeps every per-point total of a cold run."""
+        from repro.experiments.table1 import run_table1
+
+        telemetry.enable()
+        run_table1(n_r=8, n_u=6)
+        reg = telemetry.get_metrics()
+        calls = reg.counter_value("analyzer.observe_calls")
+        hits = reg.counter_value("analyzer.cache_hits")
+        misses = reg.counter_value("analyzer.cache_misses")
+        assert (calls, hits, misses) == (14148, 2100, 12048)
+        assert hits + misses == calls
+        assert reg.counter_value("analyzer.sos_executions") == 12048
+        assert reg.counter_value("analyzer.grid_points") == 14148
+        assert reg.counter_value("analyzer.grid_tiles") == 692
+        assert reg.gauge_value("analyzer.cache_size") == 1392
+
     def test_survey_emits_solver_and_column_counters_and_span(self):
         telemetry.enable()
         analyzer = small_analyzer()
