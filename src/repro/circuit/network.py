@@ -688,10 +688,6 @@ class Network:
             return v0
         return self._guarded_apply(duration, v0, batch=True)
 
-    def steady_state_then(self, duration: float) -> Dict[str, float]:
-        """Alias of :meth:`run` kept for API symmetry/readability."""
-        return self.run(duration)
-
 
 def _expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring with Pade-free Taylor.

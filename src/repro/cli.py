@@ -298,22 +298,11 @@ def _serve_main(argv) -> int:
         help="expire stored results after SECONDS (default: never)",
     )
     parser.add_argument(
-        "--store-replicas", type=int, default=1, metavar="N",
-        help="replicate the disk result store N ways under "
-        "STORE-DIR/replica-<i> (write-all/read-any with digest-checked "
-        "read-repair; requires --store-dir; default 1)",
-    )
-    parser.add_argument(
         "--work-dir", metavar="DIR", default=None,
         help="keep per-job unit checkpoints and the job journal under "
         "DIR so a failed or interrupted job resumes from its completed "
         "sweep units and a killed service re-enqueues its jobs on "
         "restart",
-    )
-    parser.add_argument(
-        "--no-journal", action="store_true",
-        help="disable the job journal even when --work-dir is set "
-        "(jobs no longer survive a service restart)",
     )
     parser.add_argument(
         "--drain-timeout", type=float, default=30.0, metavar="SECONDS",
@@ -364,10 +353,6 @@ def _serve_main(argv) -> int:
         parser.error("--client-quota must be >= 1")
     if args.unit_timeout is not None and args.unit_timeout <= 0:
         parser.error("--unit-timeout must be > 0")
-    if args.store_replicas < 1:
-        parser.error("--store-replicas must be >= 1")
-    if args.store_replicas > 1 and args.store_dir is None:
-        parser.error("--store-replicas requires --store-dir")
     if args.drain_timeout < 0:
         parser.error("--drain-timeout must be >= 0")
     for path in (args.trace, args.log_json):
@@ -396,8 +381,6 @@ def _serve_main(argv) -> int:
             rate_limit=args.rate_limit,
             rate_burst=args.rate_burst,
             client_quota=args.client_quota,
-            store_replicas=args.store_replicas,
-            journal=not args.no_journal,
             drain_timeout=args.drain_timeout,
         )
     except OSError as exc:
@@ -410,8 +393,6 @@ def _serve_main(argv) -> int:
           f"{args.executor} worker(s), store max {args.store_max}"
           + (f", ttl {args.store_ttl:g} s" if args.store_ttl else "")
           + (f", store dir {args.store_dir}" if args.store_dir else "")
-          + (f" x{args.store_replicas} replicas"
-             if args.store_replicas > 1 else "")
           + (f", work dir {args.work_dir}" if args.work_dir else ""),
           flush=True)
     service.recover()
@@ -649,11 +630,12 @@ def _submit_main(argv) -> int:
             return 0
         if args.follow:
             _follow_job(client, job["id"])
-        payload = client.wait(
-            job["id"], timeout=args.timeout, poll=args.poll
+        job_id, payload = client.wait_or_resubmit(
+            spec, job["id"], priority=args.priority,
+            timeout=args.timeout, poll=args.poll,
         )
         try:
-            record = client.job(job["id"])
+            record = client.job(job_id)
         except ServiceResponseError:
             # The job record can be trimmed from queue history between
             # wait() and this refresh; the submission-time snapshot is

@@ -26,8 +26,8 @@ Three more target the sweep *service*'s durability layer (see
 
 * :class:`StoreCorruptor` — flip a byte in (or truncate) seeded-chosen
   result documents of a :class:`~repro.service.store.ResultStore`
-  replica; the store's sha256 digest check must quarantine, never serve,
-  the damaged copy, and a replicated store must read-repair it.
+  directory; the store's sha256 digest check must quarantine, never
+  serve, the damaged copy, and the client's resubmission recomputes it.
 * :class:`JournalTailTruncator` — the checkpoint truncator retargeted at
   a :class:`~repro.service.journal.JobJournal` file; replay must skip
   the torn record and recover every intact submission.
@@ -369,15 +369,15 @@ class StoreCorruptor(FaultInjector):
     """Damage result documents at rest in a result-store directory.
 
     ``arm()`` picks up to ``n_entries`` seeded-chosen ``*.json``
-    documents directly under ``root`` (one store replica's directory —
-    the quarantine subdirectory is never touched) and, per ``mode``,
-    either flips one byte in place (``"flip"``, bit-rot) or chops a
-    seeded number of tail bytes (``"truncate"``, a torn write).  The
-    store's digest verification must quarantine the damaged copy on the
-    next read or index rebuild — counted under ``service.store.corrupt``
-    — and a :class:`~repro.service.store.ReplicatedResultStore` must
-    still serve the payload from a healthy replica and read-repair the
-    hurt one.
+    documents directly under ``root`` (the store directory — the
+    quarantine subdirectory is never touched) and, per ``mode``, either
+    flips one byte in place (``"flip"``, bit-rot) or chops a seeded
+    number of tail bytes (``"truncate"``, a torn write).  The store's
+    digest verification must quarantine the damaged copy on the next
+    read or index rebuild — counted under ``service.store.corrupt`` —
+    the result route then answers 410, and
+    :meth:`~repro.service.client.ServiceClient.submit_and_wait`
+    resubmits once and gets a recomputed, byte-identical payload.
     """
 
     name = "store-corruption"
@@ -440,7 +440,7 @@ class StoreCorruptor(FaultInjector):
 
     def disarm(self) -> None:
         # Damage stays on disk on purpose: the digest check owns the
-        # cleanup (quarantine + read-repair), and leaving the evidence
+        # cleanup (quarantine + recompute), and leaving the evidence
         # is exactly what lets a test assert it happened.
         pass
 

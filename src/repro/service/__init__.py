@@ -18,10 +18,9 @@ result-database / front-end split — see ``docs/SERVICE.md``):
   own worker thread, :class:`ProcessJobExecutor` isolates it in a
   worker process with progress/telemetry routed back over a queue;
 * :mod:`repro.service.store` — a content-addressed :class:`ResultStore`
-  with TTL and LRU eviction, sha256 payload digests with quarantine of
-  damaged documents, and an N-way :class:`ReplicatedResultStore`
-  (write-all/read-any with read-repair) serving repeated specs without
-  recomputation;
+  with TTL and LRU eviction and sha256 payload digests, serving
+  repeated specs without recomputation; a damaged document is
+  quarantined, and the client's one resubmission recomputes it;
 * :mod:`repro.service.journal` — :class:`JobJournal`, the append-only
   write-ahead log of job transitions that makes the queue restart-safe:
   replayed on start, pending jobs re-enqueue and in-flight ones resume
@@ -54,7 +53,7 @@ from .executors import JobOutcome, ProcessJobExecutor, ThreadJobExecutor
 from .journal import JobJournal, JournalEntry
 from .queue import JobQueue
 from .scheduler import Scheduler
-from .store import ReplicatedResultStore, ResultStore
+from .store import ResultStore
 
 __all__ = [
     "ExperimentProfile",
@@ -66,7 +65,6 @@ __all__ = [
     "JobState",
     "JournalEntry",
     "ProcessJobExecutor",
-    "ReplicatedResultStore",
     "ResultStore",
     "SERVICE_EXPERIMENTS",
     "Scheduler",

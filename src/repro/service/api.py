@@ -48,7 +48,7 @@ import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .. import __version__, telemetry
@@ -61,7 +61,7 @@ from .jobs import JobSpec, JobState
 from .journal import JobJournal
 from .queue import JobQueue
 from .scheduler import Scheduler
-from .store import ReplicatedResultStore, ResultStore
+from .store import ResultStore
 
 __all__ = ["SweepService", "TokenBucketLimiter"]
 
@@ -537,26 +537,15 @@ class SweepService:
         rate_limit: Optional[float] = None,
         rate_burst: Optional[int] = None,
         client_quota: Optional[int] = None,
-        store_replicas: int = 1,
-        journal: bool = True,
         drain_timeout: float = 5.0,
     ) -> None:
-        if store_replicas < 1:
-            raise ValueError("store_replicas must be >= 1")
-        self.store: Union[ResultStore, ReplicatedResultStore]
-        if store_dir is not None and store_replicas > 1:
-            self.store = ReplicatedResultStore(
-                store_dir, replicas=store_replicas,
-                max_entries=store_max, ttl=store_ttl,
-            )
-        else:
-            self.store = ResultStore(
-                root=store_dir, max_entries=store_max, ttl=store_ttl
-            )
-        #: The job journal (WAL) lives next to the unit checkpoints; it
-        #: needs a work dir and is on by default whenever one is given.
+        self.store = ResultStore(
+            root=store_dir, max_entries=store_max, ttl=store_ttl
+        )
+        #: The job journal (WAL) lives next to the unit checkpoints: it
+        #: is on exactly when a work dir is given.
         self.journal: Optional[JobJournal] = None
-        if journal and work_dir is not None:
+        if work_dir is not None:
             os.makedirs(work_dir, exist_ok=True)
             self.journal = JobJournal(
                 os.path.join(work_dir, "jobs.journal")
@@ -665,42 +654,48 @@ class SweepService:
         """Replay the job journal and re-enqueue what a crash orphaned.
 
         Runs before the scheduler starts, so recovered jobs sit queued
-        until the workers come up.  The journal is reset first and every
-        recovered job is re-journaled through the normal submission path
-        — startup doubles as a compaction.  In-flight jobs resume from
-        their per-address unit checkpoint; their clients never resubmit.
-        Idempotent: the CLI runs it early to report recovery counts in
-        its banner; the subsequent ``serve_forever`` skips the replay.
+        until the workers come up.  Every journaled job was admitted
+        before the crash, so it comes back as itself under its own id
+        (``JobQueue.submit(recovered=True)``).  The old records stay
+        until one atomic compaction to the live set after the last
+        re-admission, so a kill during recovery loses no job.  In-flight
+        jobs resume from their unit checkpoint.  Two live jobs share an
+        address only when the earlier one ran with a cancel request
+        pending, so that one settles cancelled.  Idempotent: the CLI
+        runs it early to report recovery counts in its banner.
         """
         if self.journal is None or self._recovered:
             return
         self._recovered = True
         entries = self.journal.replay()
-        self.journal.reset()
+        owners = {entry.address: entry.job for entry in entries}
         for entry in entries:
             try:
                 spec = JobSpec.from_json(entry.spec)
-                self.queue.submit(
-                    spec,
-                    priority=entry.priority,
-                    client=entry.client,
-                    recovered=True,
-                    job_id=entry.job,
-                )
-            except (SpecValidationError, QueueFullError, ClientQuotaError):
-                # A journaled spec this build no longer accepts, or a
-                # journal bigger than the queue: recover the rest.
+            except SpecValidationError:
+                # A journaled spec this build no longer accepts.
                 telemetry.count("service.journal.replay_errors")
                 event_log.emit(
                     "service.journal.replay_error", job=entry.job
                 )
                 continue
+            self.queue.submit(
+                spec,
+                priority=entry.priority,
+                client=entry.client,
+                recovered=True,
+                job_id=entry.job,
+            )
             self.recovered_jobs += 1
             if entry.in_flight:
                 self.recovered_in_flight += 1
                 telemetry.count("service.journal.recovered_inflight")
             else:
                 telemetry.count("service.journal.recovered_queued")
+        self.queue.compact_journal()
+        for entry in entries:
+            if owners[entry.address] != entry.job:
+                self.queue.cancel(entry.job)
         if entries:
             event_log.emit(
                 "service.journal.recovered",
@@ -746,9 +741,8 @@ class SweepService:
         start — the handler maps the latter to a 503, so a liveness
         probe restarts a service whose workers were lost (queued jobs
         would otherwise wait forever on a listening-but-dead service).
-        ``"store-unreadable"`` (also 503) means no store replica can
-        serve at all; a single degraded replica keeps the status ``ok``
-        — its state shows under ``durability.replicas``.
+        ``"store-unreadable"`` (also 503) means the store directory
+        cannot be listed.
         """
         uptime = (
             time.time() - self.started_at
@@ -776,11 +770,6 @@ class SweepService:
                 "recovered_jobs": self.recovered_jobs,
                 "recovered_in_flight": self.recovered_in_flight,
                 "store_readable": self.store.readable(),
-                "replicas": store_stats.get("replicas"),
-                "read_repairs": store_stats.get("read_repairs", 0),
-                "replica_write_errors": store_stats.get(
-                    "replica_write_errors", 0
-                ),
             },
             "version": __version__,
             "uptime_seconds": round(uptime, 3),

@@ -5,9 +5,10 @@ the service's error conventions: any non-2xx response raises
 :class:`ServiceUnavailableError` (connection refused / timeout) or
 :class:`ServiceResponseError` (a structured error payload, with the
 HTTP status and the decoded body attached).  :meth:`wait` polls a job
-to a terminal state and returns the result payload —
-``repro-partial-faults submit --wait`` is a thin wrapper around
-:meth:`submit_and_wait`.
+to a terminal state and returns the result payload;
+:meth:`wait_or_resubmit` also resubmits the spec once when the result
+is gone (410), which recomputes it.  :meth:`submit_and_wait` and
+``repro-partial-faults submit --wait`` both go through it.
 
 Live progress: :meth:`stream_events` consumes the SSE endpoint
 (``GET /jobs/<id>/events``) as a generator of event dicts, resuming
@@ -331,6 +332,41 @@ class ServiceClient:
                 )
             time.sleep(poll)
 
+    def wait_or_resubmit(
+        self,
+        spec: Union[JobSpec, Dict[str, Any]],
+        job_id: str,
+        priority: int = 0,
+        timeout: Optional[float] = 600.0,
+        poll: float = 0.25,
+    ) -> Tuple[str, Dict[str, Any]]:
+        """:meth:`wait` for ``job_id``, resubmitting ``spec`` once on 410.
+
+        Returns ``(id of the job that served the payload, payload)``.
+        A 410 ``result-evicted`` means the job finished but its stored
+        result is gone: expired, evicted, or found damaged and
+        quarantined by this very fetch.  The store no longer holds the
+        address, so the resubmission recomputes it.  A second 410
+        raises.
+        """
+        deadline = (
+            time.monotonic() + timeout if timeout is not None else None
+        )
+        try:
+            return job_id, self.wait(job_id, timeout=timeout, poll=poll)
+        except ServiceResponseError as exc:
+            if exc.status != 410:
+                raise
+        submitted = self._retrying(
+            lambda: self.submit(spec, priority=priority), deadline
+        )
+        job_id = submitted["job"]["id"]
+        remaining = (
+            max(0.0, deadline - time.monotonic())
+            if deadline is not None else None
+        )
+        return job_id, self.wait(job_id, timeout=remaining, poll=poll)
+
     def submit_and_wait(
         self,
         spec: Union[JobSpec, Dict[str, Any]],
@@ -351,6 +387,8 @@ class ServiceClient:
         submitted = self._retrying(
             lambda: self.submit(spec, priority=priority), deadline
         )
-        job_id = submitted["job"]["id"]
-        payload = self.wait(job_id, timeout=timeout, poll=poll)
+        job_id, payload = self.wait_or_resubmit(
+            spec, submitted["job"]["id"], priority=priority,
+            timeout=timeout, poll=poll,
+        )
         return self._retrying(lambda: self.job(job_id), deadline), payload

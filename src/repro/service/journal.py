@@ -32,9 +32,10 @@ The journal is bounded by compaction: :meth:`compact` atomically
 rewrites the file to contain only the given live records (temp file +
 ``fsync`` + ``os.replace``), and :meth:`maybe_compact` applies the
 policy — compact once ``compact_every`` records have accumulated and
-the live set is smaller.  On a clean restart the service replays,
-:meth:`reset`-s the file, and re-journals the recovered jobs through
-normal submission — startup *is* a compaction.
+the live set is smaller.  On restart the service replays the file,
+re-admits the live jobs (their ``submit`` records append to the old
+ones), and only then compacts to the live set — startup *is* a
+compaction, and a kill at any point of it loses no job.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class JournalStats:
     compactions: int = 0
     torn: int = 0
     errors: int = 0
-    #: Records accumulated since the last compaction/reset — the
+    #: Records accumulated since the last compaction — the
     #: journal's "lag" behind its minimal live representation.
     lag: int = 0
 
@@ -104,22 +105,19 @@ class JobJournal:
     """Append-only journal of job lifecycle transitions (thread-safe).
 
     ``compact_every`` is the record-count threshold of
-    :meth:`maybe_compact`; appends ``fsync`` by default so an
+    :meth:`maybe_compact`.  Every append is ``fsync``-ed, so an
     acknowledged submission survives power loss, not just a process
-    crash (``fsync=False`` trades that for latency).
+    crash.
     """
 
-    def __init__(
-        self, path: str, compact_every: int = 256, fsync: bool = True
-    ) -> None:
+    def __init__(self, path: str, compact_every: int = 256) -> None:
         if compact_every < 1:
             raise ValueError("compact_every must be >= 1")
         self.path = path
         self.compact_every = compact_every
-        self.fsync = fsync
         self.stats = JournalStats()
         self._lock = threading.Lock()
-        self._appender = JsonlAppender(path, fsync=fsync)
+        self._appender = JsonlAppender(path, fsync=True)
 
     # -- writing ---------------------------------------------------------------
 
@@ -250,11 +248,6 @@ class JobJournal:
 
     # -- bounding --------------------------------------------------------------
 
-    def reset(self) -> None:
-        """Truncate to empty — the caller re-journals what is live."""
-        with self._lock:
-            self._rewrite([])
-
     def compact(
         self, live: List[Tuple[JournalEntry, bool]]
     ) -> None:
@@ -314,7 +307,7 @@ class JobJournal:
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
         _fsync_dir(os.path.dirname(self.path) or ".")
-        self._appender = JsonlAppender(self.path, fsync=self.fsync)
+        self._appender = JsonlAppender(self.path, fsync=True)
         self.stats.compactions += 1
         self.stats.records = len(records)
         self.stats.lag = len(records)

@@ -13,6 +13,8 @@ The queue is the admission-control point of the sweep service
 * **backpressure** — once ``limit`` jobs are queued, further
   submissions raise :class:`~repro.errors.QueueFullError`, which the
   HTTP API maps to a structured ``429`` (``service.jobs.rejected``);
+  a job recovered from the journal was admitted before the crash and
+  skips admission control;
 * **cancellation** — a queued job is cancelled in place and its queue
   slot freed immediately; a running job gets a cooperative
   ``cancel_requested`` flag the scheduler honours at its next
@@ -49,8 +51,9 @@ class JobQueue:
     """Priority queue with admission control, dedup, and cancellation.
 
     ``limit`` bounds *queued* jobs only — running and finished jobs
-    don't consume admission slots.  Higher ``priority`` runs first;
-    ties run in submission order.
+    don't consume admission slots, and jobs re-admitted by journal
+    recovery may queue past it.  Higher ``priority`` runs first; ties
+    run in submission order.
 
     ``result_exists`` is the result store's TTL-aware presence check
     (:meth:`~repro.service.store.ResultStore.contains`): a DONE job only
@@ -144,12 +147,14 @@ class JobQueue:
 
         ``job_id`` pins the new job's id — journal recovery passes the
         journaled id so a client that submitted before the restart can
-        keep polling the id it was given.
+        keep polling the id it was given.  A ``recovered`` job was
+        admitted before the crash: it neither coalesces nor meets the
+        client quota or the queue limit.
         """
         spec.validate()
         address = spec.address
         with self._cond:
-            existing = self._live_job(address)
+            existing = None if recovered else self._live_job(address)
             if existing is not None:
                 existing.submissions += 1
                 if (
@@ -172,21 +177,22 @@ class JobQueue:
                     submissions=existing.submissions,
                 )
                 return existing, True
-            if self.client_quota is not None and client is not None:
+            quota = None if recovered else self.client_quota
+            if quota is not None and client is not None:
                 live = sum(
                     1 for job in self._jobs.values()
                     if job.client == client and not job.state.terminal
                 )
-                if live >= self.client_quota:
+                if live >= quota:
                     telemetry.count("service.ratelimit.quota_rejections")
                     event_log.emit(
                         "service.job.quota_rejected",
-                        client=client, live=live, quota=self.client_quota,
+                        client=client, live=live, quota=quota,
                     )
                     raise ClientQuotaError(
-                        client=client, live=live, quota=self.client_quota
+                        client=client, live=live, quota=quota
                     )
-            if self._queued >= self.limit:
+            if self._queued >= self.limit and not recovered:
                 telemetry.count("service.jobs.rejected")
                 event_log.emit(
                     "service.job.rejected",
@@ -297,6 +303,11 @@ class JobQueue:
                     job.state is JobState.RUNNING,
                 ))
             return live
+
+    def compact_journal(self) -> None:
+        """Atomically rewrite the journal to exactly the live jobs."""
+        if self.journal is not None:
+            self.journal.compact(self._live_entries())
 
     def maybe_compact_journal(self) -> None:
         """Rewrite the journal down to live jobs when it has grown.

@@ -61,7 +61,7 @@ from ..telemetry import events as event_log
 from .executors import JobOutcome, ProcessJobExecutor, ThreadJobExecutor
 from .jobs import Job
 from .queue import JobQueue
-from .store import ReplicatedResultStore, ResultStore
+from .store import ResultStore
 
 __all__ = ["Scheduler"]
 
@@ -84,7 +84,7 @@ class Scheduler:
     def __init__(
         self,
         queue: JobQueue,
-        store: Union[ResultStore, ReplicatedResultStore],
+        store: ResultStore,
         workers: int = 1,
         work_dir: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,

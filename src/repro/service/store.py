@@ -18,22 +18,16 @@ Integrity: every disk document embeds a sha256 digest of its payload
 (canonical JSON), verified on ``get`` and on index rebuild.  A document
 that fails verification — truncated write, bit rot, hand corruption —
 is never served: it is moved into ``<root>/quarantine/`` for post-mortem
-(``service.store.corrupt``) and the address becomes a miss, so the
-scheduler simply recomputes it.  Pre-digest documents (bare payload
-dicts from older deployments) are still readable, just unverified.
+(``service.store.corrupt``) and the address becomes a miss.  A document
+without the digest envelope is damage too.  The store keeps one copy:
+the result route answers 410 for a quarantined address, and
+:meth:`~repro.service.client.ServiceClient.submit_and_wait` resubmits
+once, which recomputes it.
 
 Eviction: entries older than ``ttl`` seconds are dropped at lookup time
 (``service.store.expired``); beyond ``max_entries`` the
 least-recently-*used* entry goes first (``service.store.evictions``).
 A ``get`` refreshes recency, a ``put`` counts as first use.
-
-:class:`ReplicatedResultStore` layers N of these over per-replica
-subdirectories with write-all/read-any semantics: a ``put`` fans out to
-every replica (a single failed replica is counted, not fatal), a ``get``
-serves the first replica whose copy verifies and read-repairs the ones
-that lost or corrupted theirs (``service.store.read_repairs``).  The
-store keeps serving as long as *any* replica is readable — the
-redundancy half of the ROADMAP's sharded-store item.
 
 Payloads are the JSON documents of
 :func:`repro.service.jobs.result_payload`, whose nested objects (fault
@@ -49,12 +43,12 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .. import telemetry
 from ..telemetry import events as event_log
 
-__all__ = ["ResultStore", "ReplicatedResultStore", "payload_digest"]
+__all__ = ["ResultStore", "payload_digest"]
 
 _FORMAT = "repro-v1"
 _KIND = "result-record"
@@ -211,9 +205,8 @@ class ResultStore:
 
         ``(None, False)`` means the file is simply gone (no document to
         distrust); ``(None, True)`` means bytes exist but are unusable —
-        unparseable JSON, a non-object, or a digest mismatch.  A bare
-        payload dict without the digest envelope is a pre-digest record:
-        served as-is, unverified.
+        unparseable JSON, a non-object, a missing digest envelope, or a
+        digest mismatch.
         """
         try:
             with open(path, encoding="utf-8") as fh:
@@ -222,13 +215,10 @@ class ResultStore:
             return None, False
         except (OSError, json.JSONDecodeError, ValueError):
             # Unreadable bytes are damage; a file that is simply gone
-            # (racing eviction, dead replica dir) is just a miss.
+            # (racing eviction) is just a miss.
             return None, os.path.exists(path)
-        if not isinstance(document, dict):
+        if not isinstance(document, dict) or document.get("kind") != _KIND:
             return None, True
-        if document.get("kind") != _KIND:
-            # Legacy bare payload (pre-digest deployments).
-            return document, False
         payload = document.get("payload")
         if not isinstance(payload, dict):
             return None, True
@@ -244,18 +234,14 @@ class ResultStore:
 
     # -- public API ------------------------------------------------------------
 
-    def get(
-        self, address: str, count_metrics: bool = True
-    ) -> Optional[Dict[str, Any]]:
+    def get(self, address: str) -> Optional[Dict[str, Any]]:
         """The stored payload for ``address``, or ``None``.
 
         Counts ``service.store.hits`` / ``service.store.misses``; an
         entry past its TTL is evicted and counted as a miss (plus
         ``service.store.expired``); an entry whose digest no longer
         matches is quarantined and counted as a miss (plus
-        ``service.store.corrupt``).  ``count_metrics=False`` skips the
-        hit/miss counters — :class:`ReplicatedResultStore` probes each
-        replica this way and counts once for the logical lookup.
+        ``service.store.corrupt``).
         """
         with self._lock:
             stored_at = self._index.get(address)
@@ -264,8 +250,7 @@ class ResultStore:
                     self._evict(address, "service.store.expired")
                     stored_at = None
             if stored_at is None:
-                if count_metrics:
-                    telemetry.count("service.store.misses")
+                telemetry.count("service.store.misses")
                 return None
             payload, damaged = self._read(address)
             if payload is None:
@@ -275,12 +260,10 @@ class ResultStore:
                     # The document vanished (manual cleanup, disk
                     # error); drop the stale index entry.
                     self._evict(address, None)
-                if count_metrics:
-                    telemetry.count("service.store.misses")
+                telemetry.count("service.store.misses")
                 return None
             self._index.move_to_end(address)
-            if count_metrics:
-                telemetry.count("service.store.hits")
+            telemetry.count("service.store.hits")
             return payload
 
     def contains(self, address: str) -> bool:
@@ -299,9 +282,7 @@ class ResultStore:
         Disk documents carry the payload digest and are flushed with
         ``fsync`` before the atomic rename — "atomic" without durable
         is how torn caches happen.  Raises ``OSError`` when the disk
-        write fails (callers decide whether that is fatal; the
-        replicated store treats a single replica's failure as
-        degradation, not loss).
+        write fails.
         """
         with self._lock:
             if self.root is None:
@@ -365,149 +346,3 @@ class ResultStore:
         with self._lock:
             for address in list(self._index):
                 self._evict(address, None)
-
-
-class ReplicatedResultStore:
-    """N-way replicated :class:`ResultStore`: write-all / read-any.
-
-    Each replica lives in ``<root>/replica-<i>/`` with the full
-    digest-and-quarantine discipline of the single store.  Lookups scan
-    replicas in order and serve the first verified copy, then
-    read-repair any replica that was missing or quarantined its copy
-    (``service.store.read_repairs``).  Writes fan out to every replica;
-    one failing replica is counted (``service.store.replica_write_errors``)
-    and serving continues degraded — the write only fails when *no*
-    replica accepted it.
-    """
-
-    def __init__(
-        self,
-        root: str,
-        replicas: int = 2,
-        max_entries: int = 128,
-        ttl: Optional[float] = None,
-    ) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.root = root
-        self.read_repairs = 0
-        self.replica_write_errors = 0
-        self._lock = threading.Lock()
-        self.replicas: List[ResultStore] = [
-            ResultStore(
-                root=os.path.join(root, "replica-%d" % index),
-                max_entries=max_entries,
-                ttl=ttl,
-            )
-            for index in range(replicas)
-        ]
-
-    # The queue/scheduler/api only need this surface; anything else
-    # (addresses, clear) proxies to the replicas explicitly in tests.
-
-    @property
-    def max_entries(self) -> int:
-        return self.replicas[0].max_entries
-
-    @property
-    def ttl(self) -> Optional[float]:
-        return self.replicas[0].ttl
-
-    def get(self, address: str) -> Optional[Dict[str, Any]]:
-        """First verified copy across replicas; repairs the laggards."""
-        payload = None
-        needs_repair: List[ResultStore] = []
-        for replica in self.replicas:
-            if payload is None:
-                payload = replica.get(address, count_metrics=False)
-                if payload is None:
-                    needs_repair.append(replica)
-            elif not replica.contains(address):
-                needs_repair.append(replica)
-        if payload is None:
-            telemetry.count("service.store.misses")
-            return None
-        for replica in needs_repair:
-            try:
-                replica.put(address, payload)
-            except OSError:
-                self._count_write_error(replica)
-                continue
-            with self._lock:
-                self.read_repairs += 1
-            telemetry.count("service.store.read_repairs")
-            event_log.emit(
-                "service.store.read_repaired",
-                address=address,
-                replica=replica.root,
-            )
-        telemetry.count("service.store.hits")
-        return payload
-
-    def contains(self, address: str) -> bool:
-        return any(replica.contains(address) for replica in self.replicas)
-
-    def put(self, address: str, payload: Dict[str, Any]) -> None:
-        """Write to every replica; raise only when all of them fail."""
-        accepted = 0
-        last_error: Optional[OSError] = None
-        for replica in self.replicas:
-            try:
-                replica.put(address, payload)
-                accepted += 1
-            except OSError as exc:
-                last_error = exc
-                self._count_write_error(replica)
-        if accepted == 0:
-            raise last_error if last_error is not None else OSError(
-                "no replica accepted the write"
-            )
-
-    def readable(self) -> bool:
-        """True while at least one replica can serve."""
-        return any(replica.readable() for replica in self.replicas)
-
-    def stats(self) -> Dict[str, Any]:
-        """Aggregate occupancy plus per-replica health (for ``/healthz``)."""
-        per_replica = []
-        for replica in self.replicas:
-            stats = replica.stats()
-            stats["root"] = replica.root
-            stats["readable"] = replica.readable()
-            per_replica.append(stats)
-        return {
-            "entries": max(r["entries"] for r in per_replica),
-            "max_entries": self.max_entries,
-            "ttl": self.ttl,
-            "evictions": sum(r["evictions"] for r in per_replica),
-            "expired": sum(r["expired"] for r in per_replica),
-            "corrupt": sum(r["corrupt"] for r in per_replica),
-            "rebuild_skipped": sum(
-                r["rebuild_skipped"] for r in per_replica
-            ),
-            "replicas": per_replica,
-            "read_repairs": self.read_repairs,
-            "replica_write_errors": self.replica_write_errors,
-        }
-
-    def addresses(self) -> Tuple[str, ...]:
-        seen: "OrderedDict[str, None]" = OrderedDict()
-        for replica in self.replicas:
-            for address in replica.addresses():
-                seen.setdefault(address, None)
-        return tuple(seen)
-
-    def __len__(self) -> int:
-        return len(self.addresses())
-
-    def clear(self) -> None:
-        for replica in self.replicas:
-            replica.clear()
-
-    def _count_write_error(self, replica: ResultStore) -> None:
-        with self._lock:
-            self.replica_write_errors += 1
-        telemetry.count("service.store.replica_write_errors")
-        event_log.emit(
-            "service.store.replica_write_error", replica=replica.root
-        )

@@ -8,6 +8,7 @@ import pytest
 
 from repro import __version__
 from repro.cli import main
+from repro.inject import StoreCorruptor
 from repro.service import SweepService
 
 
@@ -101,6 +102,26 @@ class TestSubmitCommand:
         assert "deduplicated into existing job" not in first.err
         assert "deduplicated into existing job" in second.err
         assert second.out == first.out  # byte-identical served report
+
+    def test_submit_wait_recomputes_a_damaged_result(
+        self, register_experiment, capsys, tmp_path
+    ):
+        name = "zz-" + uuid.uuid4().hex[:6]
+        calls = register_experiment(name, block="cli stub output")
+        store_dir = str(tmp_path / "store")
+        with SweepService(port=0, store_dir=store_dir) as service:
+            args = [
+                "submit", name, "--url", service.url,
+                "--wait", "--timeout", "30", "--poll", "0.05",
+            ]
+            assert main(args) == 0
+            first = capsys.readouterr()
+            StoreCorruptor(store_dir, seed=1).arm()
+            assert main(args) == 0
+            second = capsys.readouterr()
+        assert second.out == first.out
+        assert "cli stub output" in second.out
+        assert calls.count == 2
 
     def test_invalid_spec_exits_2(self, capsys):
         # fp-space has no sweep grid, so --n-r is a spec error the

@@ -28,8 +28,12 @@ import pytest
 
 from repro.inject import ProcessKiller
 from repro.service import ServiceClient, ServiceUnavailableError, SweepService
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobSpec, JobState
 from repro.service.journal import JobJournal
+
+
+class _Killed(Exception):
+    """Stands in for the process dying at a chosen point."""
 
 
 def _dirs(tmp_path):
@@ -107,27 +111,136 @@ class TestInProcessRecovery:
             client = ServiceClient(second.url)
             client.wait(job.id, timeout=10)
 
-    def test_no_journal_means_no_recovery(
+    def test_without_a_work_dir_nothing_is_journaled_or_recovered(
         self, tmp_path, register_experiment
     ):
         register_experiment("svc-recover")
-        first = _quiet_service(tmp_path, journal=False)
+        first = _quiet_service(tmp_path, work_dir=None)
         try:
             assert first.journal is None
             first.queue.submit(JobSpec(experiment="svc-recover"))
+            first.recover()
+            assert first.recovered_jobs == 0
         finally:
             first._httpd.server_close()
-        with _quiet_service(tmp_path) as second:
+        assert not os.path.exists(tmp_path / "work")
+        with _quiet_service(tmp_path, work_dir=None) as second:
+            assert second.journal is None
             assert second.recovered_jobs == 0
+            assert second.queue.list_jobs() == []
 
     def test_healthz_reports_durability(self, tmp_path):
-        with _quiet_service(tmp_path, store_replicas=2) as service:
+        with _quiet_service(tmp_path) as service:
             health = ServiceClient(service.url).healthz()
         durability = health["durability"]
         assert durability["journal"]["path"].endswith("jobs.journal")
         assert durability["store_readable"] is True
-        assert len(durability["replicas"]) == 2
         assert durability["recovered_jobs"] == 0
+        assert set(durability) == {
+            "journal", "recovered_jobs", "recovered_in_flight",
+            "store_readable",
+        }
+
+    def test_full_queue_recovers_every_job(
+        self, tmp_path, register_experiment
+    ):
+        # --queue-limit bounds queued jobs only: limit queued jobs plus
+        # a running one were acknowledged, and all of them come back.
+        names = ("svc-a", "svc-b", "svc-c")
+        for name in names:
+            register_experiment(name)
+        first = _quiet_service(tmp_path, queue_limit=2)
+        try:
+            jobs = [first.queue.submit(JobSpec(experiment="svc-a"))[0]]
+            assert first.queue.claim(timeout=1.0) is jobs[0]
+            jobs += [
+                first.queue.submit(JobSpec(experiment=name))[0]
+                for name in names[1:]
+            ]
+        finally:
+            first.journal.close()
+            first._httpd.server_close()
+
+        second = _quiet_service(tmp_path, queue_limit=2)
+        try:
+            second.recover()
+            assert second.recovered_jobs == 3
+            for job in jobs:
+                assert second.queue.get(job.id).state is JobState.QUEUED
+        finally:
+            second.journal.close()
+            second._httpd.server_close()
+
+    def test_kill_during_recovery_loses_no_job(
+        self, tmp_path, register_experiment
+    ):
+        names = ("svc-a", "svc-b", "svc-c")
+        for name in names:
+            register_experiment(name)
+        first = _quiet_service(tmp_path)
+        try:
+            jobs = [
+                first.queue.submit(JobSpec(experiment=name))[0]
+                for name in names
+            ]
+        finally:
+            first.journal.close()
+            first._httpd.server_close()
+
+        # The process dies right after the first re-admission.
+        second = _quiet_service(tmp_path)
+        readmit = second.queue.submit
+
+        def readmit_then_die(*args, **kwargs):
+            readmit(*args, **kwargs)
+            raise _Killed()
+
+        second.queue.submit = readmit_then_die
+        try:
+            with pytest.raises(_Killed):
+                second.recover()
+        finally:
+            second.journal.close()
+            second._httpd.server_close()
+
+        third = _quiet_service(tmp_path)
+        try:
+            third.recover()
+            assert third.recovered_jobs == 3
+            for job in jobs:
+                assert third.queue.get(job.id).state is JobState.QUEUED
+        finally:
+            third.journal.close()
+            third._httpd.server_close()
+
+    def test_job_superseded_by_a_resubmission_recovers_cancelled(
+        self, tmp_path, register_experiment
+    ):
+        # A cancel request on a running job hands its address to the
+        # next submission; the request dies with the process, and the
+        # resubmitted job must not coalesce back onto the old one.
+        register_experiment("svc-recover")
+        spec = JobSpec(experiment="svc-recover")
+        first = _quiet_service(tmp_path)
+        try:
+            old, _ = first.queue.submit(spec)
+            assert first.queue.claim(timeout=1.0) is old
+            first.queue.cancel(old.id)
+            new, deduped = first.queue.submit(spec)
+            assert not deduped and new.id != old.id
+        finally:
+            first.journal.close()
+            first._httpd.server_close()
+
+        second = _quiet_service(tmp_path)
+        try:
+            second.recover()
+            assert second.queue.get(old.id).state is JobState.CANCELLED
+            assert second.queue.get(new.id).state is JobState.QUEUED
+            assert [e.job for e in second.journal.replay()] == [new.id]
+        finally:
+            second.journal.close()
+            second._httpd.server_close()
 
     def test_startup_compacts_settled_history(
         self, tmp_path, register_experiment
@@ -327,7 +440,7 @@ def test_sigkill_mid_table1_resumes_byte_identical(
     store_dir = str(tmp_path / "store")
     serve_argv = [
         "--work-dir", work_dir, "--store-dir", store_dir,
-        "--store-replicas", "2", "--executor", executor,
+        "--executor", executor,
     ]
 
     process, url = _start_serve(serve_argv, repo)

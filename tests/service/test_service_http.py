@@ -1,5 +1,7 @@
 """End-to-end tests of the HTTP API (real sockets, real threads)."""
 
+import json
+import os
 import threading
 import time
 from types import SimpleNamespace
@@ -7,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import __version__
+from repro.inject import StoreCorruptor
 from repro.service import (
     ServiceClient,
     ServiceResponseError,
@@ -180,6 +183,57 @@ class TestErrorsOverHTTP:
         client = ServiceClient("http://127.0.0.1:9", timeout=2.0)
         with pytest.raises(ServiceUnavailableError):
             client.healthz()
+
+
+def _payload_bytes(payload):
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+class TestResubmitOnEvictedResult:
+    """``submit_and_wait`` resubmits once when the result route says 410."""
+
+    def test_damaged_result_is_recomputed_byte_identical(
+        self, tmp_path, register_experiment
+    ):
+        calls = register_experiment("svc-flip")
+        store_dir = str(tmp_path / "store")
+        with _service(store_dir=store_dir) as service:
+            client = ServiceClient(service.url)
+            first, payload = client.submit_and_wait(
+                {"experiment": "svc-flip"}, timeout=10
+            )
+            StoreCorruptor(store_dir, seed=1).arm()
+            second, again = client.submit_and_wait(
+                {"experiment": "svc-flip"}, timeout=10
+            )
+        assert _payload_bytes(again) == _payload_bytes(payload)
+        assert calls.count == 2
+        assert second["id"] != first["id"]
+        assert not second["cache_hit"]
+        assert os.listdir(os.path.join(store_dir, "quarantine")) == [
+            first["address"] + ".json"
+        ]
+
+    def test_a_second_410_raises(self, monkeypatch):
+        client = ServiceClient("http://127.0.0.1:9")
+        submitted = []
+
+        def submit(spec, priority=0):
+            submitted.append(spec)
+            return {"job": {"id": "job-%d" % len(submitted)}}
+
+        def gone(job_id, timeout=None, poll=None):
+            raise ServiceResponseError(
+                410, {"error": "result-evicted", "id": job_id}
+            )
+
+        monkeypatch.setattr(client, "submit", submit)
+        monkeypatch.setattr(client, "wait", gone)
+        with pytest.raises(ServiceResponseError) as err:
+            client.submit_and_wait({"experiment": "svc-gone"}, timeout=5)
+        assert err.value.status == 410
+        assert err.value.payload["id"] == "job-2"
+        assert len(submitted) == 2  # one resubmission, no loop
 
 
 class TestHealthAndMetrics:

@@ -7,11 +7,7 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.service.store import (
-    ReplicatedResultStore,
-    ResultStore,
-    payload_digest,
-)
+from repro.service.store import ResultStore, payload_digest
 
 
 def _payload(n):
@@ -189,14 +185,30 @@ class TestIntegrity:
             "bb.json",
         ]
 
-    def test_legacy_bare_payload_documents_still_serve(self, tmp_path):
+    def test_bare_payload_is_quarantined(self, tmp_path):
+        # A document without the digest envelope cannot be verified, so
+        # it is damage, not a result.
         root = str(tmp_path / "results")
         os.makedirs(root)
         with open(os.path.join(root, "aa.json"), "w") as fh:
             json.dump(_payload(1), fh)
         store = ResultStore(root=root)
-        assert store.get("aa") == _payload(1)
-        assert store.corrupt == 0
+        assert store.get("aa") is None
+        assert store.rebuild_skipped == 1
+        assert os.listdir(os.path.join(root, "quarantine")) == ["aa.json"]
+
+    def test_envelope_with_a_foreign_kind_is_quarantined(self, tmp_path):
+        root = str(tmp_path / "results")
+        store = ResultStore(root=root)
+        store.put("aa", _payload(1))
+        path = os.path.join(root, "aa.json")
+        with open(path, encoding="utf-8") as fh:
+            document = json.load(fh)
+        document["kind"] = "result-recorc"  # one flipped byte
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh)
+        assert store.get("aa") is None
+        assert store.corrupt == 1
 
     def test_corruption_counters(self, tmp_path):
         telemetry.enable()
@@ -213,91 +225,3 @@ class TestIntegrity:
         assert (
             metrics.counter_value("service.store.rebuild_skipped") == 0
         )
-
-
-class TestReplicatedStore:
-    def test_write_all_read_any(self, tmp_path):
-        root = str(tmp_path / "store")
-        store = ReplicatedResultStore(root, replicas=2)
-        store.put("aa", _payload(1))
-        for index in range(2):
-            assert os.path.exists(
-                os.path.join(root, "replica-%d" % index, "aa.json")
-            )
-        assert store.get("aa") == _payload(1)
-        assert store.contains("aa")
-        assert len(store) == 1 and store.addresses() == ("aa",)
-
-    def test_corrupted_replica_is_read_repaired(self, tmp_path):
-        root = str(tmp_path / "store")
-        store = ReplicatedResultStore(root, replicas=2)
-        store.put("aa", _payload(1))
-        path = os.path.join(root, "replica-0", "aa.json")
-        with open(path, "r+b") as fh:
-            fh.seek(10)
-            fh.write(b"\xff\xfe")
-        # The damaged copy is never served; the healthy replica answers
-        # and replica-0 gets a fresh verified copy.
-        assert store.get("aa") == _payload(1)
-        assert store.read_repairs == 1
-        assert store.replicas[0].corrupt == 1
-        with open(path, encoding="utf-8") as fh:
-            repaired = json.load(fh)
-        assert repaired["payload"] == _payload(1)
-        # Second read needs no repair.
-        assert store.get("aa") == _payload(1)
-        assert store.read_repairs == 1
-
-    def test_missing_replica_copy_is_read_repaired(self, tmp_path):
-        root = str(tmp_path / "store")
-        store = ReplicatedResultStore(root, replicas=3)
-        store.put("aa", _payload(1))
-        os.remove(os.path.join(root, "replica-1", "aa.json"))
-        store.replicas[1]._index.pop("aa")
-        assert store.get("aa") == _payload(1)
-        assert store.read_repairs == 1
-        assert os.path.exists(os.path.join(root, "replica-1", "aa.json"))
-
-    def test_degraded_serving_with_one_dead_replica(
-        self, tmp_path, monkeypatch
-    ):
-        root = str(tmp_path / "store")
-        store = ReplicatedResultStore(root, replicas=2)
-
-        def broken_put(address, payload):
-            raise OSError("replica disk gone")
-
-        monkeypatch.setattr(store.replicas[0], "put", broken_put)
-        store.put("aa", _payload(1))  # degraded, not fatal
-        assert store.replica_write_errors == 1
-        assert store.get("aa") == _payload(1)
-        assert store.readable()
-
-    def test_put_raises_only_when_every_replica_fails(
-        self, tmp_path, monkeypatch
-    ):
-        root = str(tmp_path / "store")
-        store = ReplicatedResultStore(root, replicas=2)
-
-        def broken_put(address, payload):
-            raise OSError("disk gone")
-
-        for replica in store.replicas:
-            monkeypatch.setattr(replica, "put", broken_put)
-        with pytest.raises(OSError):
-            store.put("aa", _payload(1))
-        assert store.replica_write_errors == 2
-
-    def test_stats_reports_per_replica_health(self, tmp_path):
-        root = str(tmp_path / "store")
-        store = ReplicatedResultStore(root, replicas=2)
-        store.put("aa", _payload(1))
-        stats = store.stats()
-        assert stats["entries"] == 1
-        assert stats["read_repairs"] == 0
-        assert len(stats["replicas"]) == 2
-        assert all(r["readable"] for r in stats["replicas"])
-
-    def test_replica_count_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            ReplicatedResultStore(str(tmp_path / "s"), replicas=0)
