@@ -39,7 +39,12 @@ from .defects import FloatingNode, OpenDefect, OpenLocation
 from .network import Network, NetworkEnsemble
 from .senseamp import SenseAmplifier
 from .technology import Technology, default_technology
-from .wordline import WordLineGate
+from .wordline import (
+    WordLineGate,
+    advance_gates,
+    conduction_factors,
+    decay_factors,
+)
 
 __all__ = [
     "DRAMColumn",
@@ -586,6 +591,28 @@ class DRAMColumn:
             net.drive("bc", t.vdd - rail, r_sa)
 
 
+class _TileSolve(NamedTuple):
+    """A built phase configuration of one point pool (see
+    :meth:`GridBatch._phase`): the ensemble with one member per
+    same-configuration group, and ``members[g]``, the original member
+    of group ``g``.
+
+    A *forked* configuration (some member's lanes disagree on the latch
+    state) also carries its padded layout: ``gather`` is the ``(G, W)``
+    pool index of every group's lanes, each group padded to the widest
+    by repeating its last lane; ``scatter`` maps each pool point to its
+    position on the flat ``G * W`` lane axis; ``widths`` holds the real
+    lane counts and ``forks`` the groups beyond one per member.
+    """
+
+    ensemble: NetworkEnsemble
+    members: np.ndarray
+    gather: Optional[np.ndarray] = None
+    scatter: Optional[np.ndarray] = None
+    widths: Optional[np.ndarray] = None
+    forks: int = 0
+
+
 class GridBatch:
     """Lock-step execution of one operation sequence over a (R_def × U) grid.
 
@@ -595,7 +622,7 @@ class GridBatch:
     schedule).
     Internally the state is flat — one ``(n_nodes, n_points)`` matrix over
     every surviving ``(member, lane)`` point — advanced with one
-    :meth:`NetworkEnsemble.run_grid_blocks` product per phase; sense-amp
+    :meth:`NetworkEnsemble.run_grid_array` product per phase; sense-amp
     decisions, buffer latching and read results are elementwise over the
     points.
 
@@ -604,11 +631,13 @@ class GridBatch:
     instantiated per member as ``base + R_def``, everything else is shared.
     Word-line opens put the resistance inside the nonlinear gate dynamics,
     so their members cannot share gate trajectories; they are accepted
-    only with ``member_gates`` — per-member private
-    :class:`~repro.circuit.wordline.WordLineGate` objects, advanced once
-    per phase and instantiated as per-member access connects (the caller
-    then makes every grid *point* its own width-1 member, since the gate
-    trajectory depends on both ``R_def`` and the floating ``U``).
+    only with ``gate_voltages`` — each member's initial voltage of the
+    defect row's floating gate, which then charges through the member's
+    own ``R_def``.  The gates advance as one array per phase
+    (:func:`~repro.circuit.wordline.advance_gates`) and become per-member
+    access connects (the caller then makes every grid *point* its own
+    width-1 member, since the gate trajectory depends on both ``R_def``
+    and the floating ``U``).
 
     Lanes of one member disagreeing on the sense-amp decision does
     **not** demote anything: the member *forks* into sub-groups by latch state
@@ -637,20 +666,21 @@ class GridBatch:
         column: DRAMColumn,
         r_values: Sequence[float],
         initial_states,
-        member_gates: Optional[Sequence[Dict[int, WordLineGate]]] = None,
+        gate_voltages: Optional[Sequence[float]] = None,
         point_lanes: Optional[Sequence[Sequence[int]]] = None,
-        ens_cache: Optional[Dict[tuple, "NetworkEnsemble"]] = None,
+        ens_cache: Optional[Dict[tuple, _TileSolve]] = None,
         plan_cache: Optional[Dict[tuple, _PhasePlan]] = None,
         shared_stacks: bool = True,
     ) -> None:
         defect = column.defect
         if not isinstance(defect, OpenDefect):
             raise ValueError("GridBatch requires an open-defect host column")
-        if defect.location is OpenLocation.WORD_LINE and member_gates is None:
+        if defect.location is OpenLocation.WORD_LINE and gate_voltages is None:
             raise ValueError(
                 "word-line opens put the defect resistance inside the gate "
-                "dynamics; pass per-member gates (member_gates) so each "
-                "member carries its own gate trajectory"
+                "dynamics; pass per-member initial gate voltages "
+                "(gate_voltages) so each member carries its own gate "
+                "trajectory"
             )
         self.column = column
         self.r_values = np.asarray(r_values, dtype=float)
@@ -689,43 +719,37 @@ class GridBatch:
                     f"{self._pt_lane.shape}"
                 )
         self._pt_r = self.r_values[self._pt_member]
-        if member_gates is not None and len(member_gates) != members:
-            raise ValueError(
-                f"member_gates must have one entry per member "
-                f"({members}); got {len(member_gates)}"
-            )
-        #: original member index -> {row: private word-line gate}
-        self._member_gates: Dict[int, Dict[int, WordLineGate]] = (
-            {m: dict(gates) for m, gates in enumerate(member_gates)}
-            if member_gates is not None else {}
-        )
-        self._gate_rows: Tuple[int, ...] = tuple(sorted({
-            row for gates in self._member_gates.values() for row in gates
-        }))
+        #: Gate voltage of each pool member's defect-row word line (None
+        #: without a floating gate); rows follow the pool's members.
+        self._gate_v: Optional[np.ndarray] = None
+        self._gate_rows: Tuple[int, ...] = ()
+        if gate_voltages is not None:
+            self._gate_v = np.array(gate_voltages, dtype=float)
+            if self._gate_v.shape != (members,):
+                raise ValueError(
+                    f"gate_voltages must hold one voltage per member "
+                    f"({members}); got {self._gate_v.shape}"
+                )
+            self._gate_rows = (defect.row,)
         #: original member index -> demotion reason ("guard"/...)
         self.demoted: Dict[int, str] = {}
         self._fired = np.zeros(points, dtype=bool)
         self._value = np.zeros(points, dtype=int)
-        # Hot-path caches.  Host gates in a GridBatch are memoryless (zero
-        # series resistance; a word-line open's stateful gate lives in
-        # _member_gates and is skipped via skip_gate_rows), so a phase plan
-        # depends only on its arguments.  Built ensembles are reused when
-        # the (plan, group structure) recurs — their propagators then come
-        # from the instance memo without touching the global caches.
-        self._mp_cache: Optional[List[Tuple[int, np.ndarray]]] = None
-        self._g1_cache: Optional[List[Tuple[Tuple, np.ndarray]]] = None
         # Shareable like ens_cache: a plan is a pure function of the phase
         # arguments for a fixed column configuration (host gates here are
-        # memoryless), so an analyzer hands every batch the same dict.
+        # memoryless: a word-line open's stateful gate lives in _gate_v
+        # and is skipped via skip_gate_rows), so an analyzer hands every
+        # batch the same dict.
         self._plan_cache: Dict[tuple, _PhasePlan] = (
             plan_cache if plan_cache is not None else {}
         )
-        # Built-ensemble cache.  Keys are content-addressed (phase args +
-        # pool bytes + latch bytes + gate connects), so a caller may share
-        # one dict across many batches — the analysis layer does this per
-        # analyzer, letting every operation sequence of a survey reuse the
-        # ensembles (and their propagator memos) of the previous ones.
-        self._ens_cache: Dict[tuple, NetworkEnsemble] = (
+        # Built-configuration cache.  Keys are content-addressed (phase
+        # args + pool bytes + latch bytes + gate connects), so a caller
+        # may share one dict across many batches — the analysis layer
+        # does this per analyzer, letting every operation sequence of a
+        # survey reuse the ensembles (and their propagator memos and fork
+        # layouts) of the previous ones.
+        self._ens_cache: Dict[tuple, _TileSolve] = (
             ens_cache if ens_cache is not None else {}
         )
         self._shared_stacks = shared_stacks
@@ -743,28 +767,12 @@ class GridBatch:
 
     @property
     def n_members(self) -> int:
-        return len(self.active_members)
+        return self._pt_member.size // self.n_lanes
 
     @property
     def active_members(self) -> List[int]:
         """Original indices of the members still in the pool, in order."""
-        return [m for m, _ in self._member_points()]
-
-    def _member_points(self) -> List[Tuple[int, np.ndarray]]:
-        """``(original member, point indices)`` runs, cached per epoch.
-
-        The pool is member-major, so each member's points form one
-        contiguous run; the cache is dropped whenever a demotion changes
-        the pool.
-        """
-        if self._mp_cache is None:
-            pts = self._pt_member
-            bounds = np.flatnonzero(np.diff(pts)) + 1
-            splits = np.split(np.arange(pts.size), bounds)
-            self._mp_cache = [
-                (int(pts[idx[0]]), idx) for idx in splits if idx.size
-            ]
-        return self._mp_cache
+        return self._pt_member[::self.n_lanes].tolist()
 
     def _demote_members(self, members, reason: str) -> None:
         doomed = sorted({int(m) for m in members})
@@ -791,6 +799,10 @@ class GridBatch:
         self._drop_members(done)
 
     def _drop_members(self, members: List[int]) -> None:
+        if self._gate_v is not None:
+            self._gate_v = self._gate_v[
+                ~np.isin(self._pt_member[::self.n_lanes], members)
+            ]
         keep = ~np.isin(self._pt_member, members)
         self.V = self.V[:, keep]
         self._pt_member = self._pt_member[keep]
@@ -798,8 +810,6 @@ class GridBatch:
         self._pt_r = self._pt_r[keep]
         self._fired = self._fired[keep]
         self._value = self._value[keep]
-        self._mp_cache = None
-        self._g1_cache = None
         self._pool_token = None
         if not self._shared_stacks:
             # Every memo key names the old pool: none can hit again.
@@ -815,10 +825,7 @@ class GridBatch:
         """
         if self.demoted:
             raise ValueError("cannot snapshot a batch with demoted members")
-        gates = {
-            m: {row: g.voltage for row, g in gs.items()}
-            for m, gs in self._member_gates.items()
-        }
+        gates = None if self._gate_v is None else self._gate_v.copy()
         return (self.V.copy(), self._fired.copy(), self._value.copy(), gates)
 
     def restore(self, snap: tuple) -> None:
@@ -835,10 +842,8 @@ class GridBatch:
         self.V = V.copy()
         self._fired = fired.copy()
         self._value = value.copy()
-        for m, gs in gates.items():
-            mine = self._member_gates[m]
-            for row, voltage in gs.items():
-                mine[row].voltage = voltage
+        if gates is not None:
+            self._gate_v = gates.copy()
 
     def _rows(self, flat: np.ndarray) -> np.ndarray:
         """Reshape a per-point vector to (n_members, n_lanes)."""
@@ -888,39 +893,118 @@ class GridBatch:
 
     # -- phase / operation machinery -------------------------------------------
 
-    def _groups(self, sa_drive: bool) -> List[Tuple[Tuple, np.ndarray]]:
+    def _groups(self, sa_drive: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Partition the point pool into same-configuration groups.
 
         Without a sense-amp drive the configuration depends on ``R_def``
         only, so the groups are the members.  With one, each point's latch
         state selects its rails, so members fork by ``(fired, value)`` —
         the per-point equivalent of the scalar column reading its own
-        latch.  Group keys sort deterministically; points inside a group
-        keep pool order.
+        latch.  Groups come in pool member order, and within a member
+        unfired before fired-0 before fired-1; points inside a group keep
+        pool order.
+
+        Returns ``(order, starts, codes)``: the pool points listed group
+        by group, where each group starts in ``order``, and each group's
+        code ``3 * member position + latch`` (latch 0: not fired, 1:
+        fired 0, 2: fired 1).
         """
-        mp = self._member_points()
-        if not sa_drive:
-            if self._g1_cache is None:
-                self._g1_cache = [((m,), idx) for m, idx in mp]
-            return self._g1_cache
-        groups: List[Tuple[Tuple, np.ndarray]] = []
-        for m, idx in mp:
-            if idx.size == 1:
-                p = int(idx[0])
-                f = bool(self._fired[p])
-                groups.append(
-                    ((m, f, int(self._value[p]) if f else -1), idx)
-                )
-                continue
-            sub: Dict[Tuple, List[int]] = {}
-            for p in idx:
-                f = bool(self._fired[p])
-                key = (m, f, int(self._value[p]) if f else -1)
-                sub.setdefault(key, []).append(int(p))
-            groups.extend(
-                (key, np.asarray(sub[key], dtype=int)) for key in sorted(sub)
+        code = np.arange(self._pt_member.size) // self.n_lanes * 3
+        if sa_drive:
+            code += np.where(self._fired, self._value + 1, 0)
+        order = np.argsort(code, kind="stable")
+        sorted_code = code[order]
+        first = np.empty(order.size, dtype=bool)
+        first[0] = True
+        np.not_equal(sorted_code[1:], sorted_code[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        return order, starts, sorted_code[starts]
+
+    def _gate_step(
+        self, duration: float, active_row: Optional[int], precharge: bool
+    ) -> np.ndarray:
+        """Advance every pool member's floating gate through one phase.
+
+        Mirrors :meth:`DRAMColumn._phase_plan`'s gate loop for the defect
+        row; returns each member's access-transistor resistance (``inf``
+        where the transistor does not conduct).
+        """
+        t = self.column.tech
+        mean = self._gate_v
+        if duration > 0:
+            x, decay = decay_factors(
+                self._pt_r[::self.n_lanes], t.c_wl_gate, duration
             )
-        return groups
+            wl_high = active_row is not None and not precharge
+            driven = (
+                t.v_wl_on if (wl_high and self._gate_rows[0] == active_row)
+                else 0.0
+            )
+            self._gate_v, mean = advance_gates(self._gate_v, driven, x, decay)
+        factor = conduction_factors(mean, t.v_threshold, t.v_wl_on)
+        r_access = np.full(factor.shape, np.inf)
+        np.divide(t.r_access, factor, out=r_access,
+                  where=factor > _MIN_CONDUCTION)
+        return r_access
+
+    def _build(self, plan: _PhasePlan, gate_r: Optional[np.ndarray]) -> _TileSolve:
+        """Instantiate a phase plan over the pool's groups."""
+        col = self.column
+        t = col.tech
+        order, starts, codes = self._groups(plan.sa_drive)
+        n_groups = starts.size
+        first = order[starts]
+        group_r = self._pt_r[first]
+        fork: dict = {}
+        if n_groups == self.n_members:
+            # Uniform: the groups are the member runs, in pool order with
+            # equal widths.
+            lanes = self._pt_lane.reshape(n_groups, self.n_lanes)
+        else:
+            widths = np.diff(starts, append=order.size)
+            width = int(widths.max())
+            pad = np.minimum(np.arange(width), widths[:, None] - 1)
+            gather = order[starts[:, None] + pad]
+            scatter = np.empty(order.size, dtype=np.intp)
+            scatter[order] = (
+                np.repeat(np.arange(n_groups) * width - starts, widths)
+                + np.arange(order.size)
+            )
+            lanes = [
+                self._pt_lane[gather[g, :w]] for g, w in enumerate(widths)
+            ]
+            fork = dict(gather=gather, scatter=scatter, widths=widths,
+                        forks=n_groups - self.n_members)
+        ens = NetworkEnsemble(
+            col.net, n_groups, member_meta=group_r.tolist(),
+            member_lanes=lanes, stacked_cache=self._shared_stacks,
+        )
+        for a, b, base, weighted, post in plan.connects:
+            if weighted:
+                ens.connect_members(a, b, (base + group_r) + post)
+            else:
+                ens.connect(a, b, base + post)
+        for node, volts, base, weighted in plan.drives:
+            if weighted:
+                ens.drive_members(node, volts, base + group_r)
+            else:
+                ens.drive(node, volts, base)
+        if gate_r is not None:
+            ens.connect_members(
+                f"cell{self._gate_rows[0]}", col._seg_node["cells"],
+                gate_r[codes // 3],
+            )
+        if plan.sa_drive:
+            latch = codes % 3
+            rails = np.where(latch == 2, t.vdd, 0.0)
+            r_sa = (
+                plan.sa_base + group_r if plan.sa_weighted
+                else np.full(n_groups, plan.sa_base)
+            )
+            r_sa = np.where(latch > 0, r_sa, np.inf)
+            ens.drive_members(plan.sa_node, rails, r_sa)
+            ens.drive_members("bc", t.vdd - rails, r_sa)
+        return _TileSolve(ens, self._pt_member[first], **fork)
 
     def _phase(
         self,
@@ -942,146 +1026,52 @@ class GridBatch:
             self._plan_cache[plan_key] = plan
         if self._pt_member.size == 0:
             return
-        t = col.tech
         # Per-member word-line gates advance exactly once per phase (the
-        # member may still fork into several groups below; they all share
-        # the member's gate trajectory).
-        gate_connects: Dict[int, List[Tuple[str, str, float]]] = {}
-        if self._member_gates:
-            wl_high = active_row is not None and not precharge
-            cells_node = col._seg_node["cells"]
-            for m, _ in self._member_points():
-                entries = []
-                for row, gate in self._member_gates[m].items():
-                    driven = (
-                        t.v_wl_on if (wl_high and row == active_row) else 0.0
-                    )
-                    mean_gate = gate.advance(driven, duration)
-                    factor = gate.conduction(
-                        mean_gate, t.v_threshold, t.v_wl_on
-                    )
-                    if factor > _MIN_CONDUCTION:
-                        entries.append(
-                            (f"cell{row}", cells_node, t.r_access / factor)
-                        )
-                if entries:
-                    gate_connects[m] = entries
-        mp = self._member_points()
-        # Fork detection without materializing groups: a member forks only
-        # when its lanes disagree on the effective latch state.  When all
-        # members are uniform (always true for width-1 pools), groups are
-        # exactly the member runs — in pool order with equal widths — so
-        # the solve can consume the point pool as one strided stack.
-        uniform = True
-        fr = eff = None
-        if plan.sa_drive and self.n_lanes > 1:
-            fr = self._rows(self._fired)
-            eff = np.where(fr, self._rows(self._value), -1)
-            uniform = bool((eff == eff[:, :1]).all())
-        groups: Optional[List[Tuple[Tuple, np.ndarray]]] = None
-        if uniform:
-            n_groups = len(mp)
-        else:
-            groups = self._groups(True)
-            n_groups = len(groups)
-            telemetry.count("column.grid_forks", n_groups - len(mp))
-        # The whole configuration below is a function of (plan, point pool,
-        # per-point latch state, gate connects) — reuse the built ensemble
-        # (and with it the instance propagator memo) when that recurs.
-        # For a fixed pool the latch byte strings pin down both the fork
-        # partition and each group's lanes; gate conduction factors
-        # saturate after a few phases, so word-line ensembles recur too.
+        # member may still fork into several groups; they all share the
+        # member's gate trajectory).
+        gate_r = (
+            self._gate_step(duration, active_row, precharge)
+            if self._gate_v is not None else None
+        )
+        # The whole configuration is a function of (plan, point pool,
+        # per-point latch state, gate connects) — reuse the built
+        # ensemble (and with it the instance propagator memo and the fork
+        # layout) when that recurs.  For a fixed pool the latch byte
+        # strings pin down both the fork partition and each group's
+        # lanes; gate conduction factors saturate after a few phases, so
+        # word-line ensembles recur too.
         ens_key: tuple = (plan_args, self._gate_rows, self._pool_key())
         if plan.sa_drive:
             ens_key += (self._fired.tobytes(), self._value.tobytes())
-        if gate_connects:
-            ens_key += (
-                tuple(sorted(
-                    (m, tuple(entries))
-                    for m, entries in gate_connects.items()
-                )),
-            )
-        ens = self._ens_cache.get(ens_key)
-        if ens is None:
-            if groups is None:
-                if not plan.sa_drive:
-                    groups = self._groups(False)
-                elif self.n_lanes == 1:
-                    groups = [
-                        (
-                            (
-                                m,
-                                bool(self._fired[idx[0]]),
-                                int(self._value[idx[0]])
-                                if self._fired[idx[0]] else -1,
-                            ),
-                            idx,
-                        )
-                        for m, idx in mp
-                    ]
-                else:
-                    groups = [
-                        ((m, bool(fr[i, 0]), int(eff[i, 0])), idx)
-                        for i, (m, idx) in enumerate(mp)
-                    ]
-            group_r = [float(self._pt_r[idx[0]]) for _, idx in groups]
-            ens = NetworkEnsemble(
-                col.net, n_groups, member_meta=group_r,
-                member_lanes=[
-                    tuple(int(l) for l in self._pt_lane[idx])
-                    for _, idx in groups
-                ],
-                stacked_cache=self._shared_stacks,
-            )
-            for a, b, base, weighted, post in plan.connects:
-                if weighted:
-                    for g in range(n_groups):
-                        ens.connect_member(g, a, b, (base + group_r[g]) + post)
-                else:
-                    ens.connect(a, b, base + post)
-            for node, volts, base, weighted in plan.drives:
-                if weighted:
-                    for g in range(n_groups):
-                        ens.drive_member(g, node, volts, base + group_r[g])
-                else:
-                    ens.drive(node, volts, base)
-            if gate_connects:
-                for g, (key, _idx) in enumerate(groups):
-                    for a, b, r in gate_connects.get(int(key[0]), ()):
-                        ens.connect_member(g, a, b, r)
-            if plan.sa_drive:
-                for g, (key, _idx) in enumerate(groups):
-                    _m, fired, value = key
-                    if fired:
-                        rail = t.vdd if value == 1 else 0.0
-                        r_sa = (
-                            plan.sa_base + group_r[g]
-                            if plan.sa_weighted else plan.sa_base
-                        )
-                        ens.drive_member(g, plan.sa_node, rail, r_sa)
-                        ens.drive_member(g, "bc", t.vdd - rail, r_sa)
+        if gate_r is not None:
+            ens_key += (gate_r.tobytes(),)
+        solve = self._ens_cache.get(ens_key)
+        if solve is None:
+            solve = self._build(plan, gate_r)
             if len(self._ens_cache) >= self._ens_cache_max:
                 self._ens_cache.pop(next(iter(self._ens_cache)))
-            self._ens_cache[ens_key] = ens
+            self._ens_cache[ens_key] = solve
+        n_nodes = self.V.shape[0]
         try:
-            if uniform:
+            if solve.gather is None:
                 # Uniform groups are the member runs, in pool order with
                 # equal widths: feed the pool to the solver as a strided
                 # (M, n, L) view — no gather, no scatter.
-                n_nodes = self.V.shape[0]
-                width = self._pt_member.size // n_groups
-                v0 = self.V.reshape(n_nodes, n_groups, width).transpose(1, 0, 2)
-                result = ens.run_grid_array(duration, v0)
+                v0 = self.V.reshape(n_nodes, -1, self.n_lanes).transpose(1, 0, 2)
+                result = solve.ensemble.run_grid_array(duration, v0)
                 self.V = np.asarray(result.voltages).transpose(1, 0, 2).reshape(
                     n_nodes, -1
                 )
             else:
-                blocks = [
-                    np.ascontiguousarray(self.V[:, idx]) for _, idx in groups
-                ]
-                result = ens.run_grid_blocks(duration, blocks)
-                for g, (_key, idx) in enumerate(groups):
-                    self.V[:, idx] = result.voltages[g]
+                # Forked: one padded (G, n, W) stack, one product.
+                telemetry.count("column.grid_forks", solve.forks)
+                v0 = self.V[:, solve.gather].transpose(1, 0, 2)
+                result = solve.ensemble.run_grid_array(
+                    duration, v0, solve.widths
+                )
+                self.V = np.asarray(result.voltages).transpose(1, 0, 2).reshape(
+                    n_nodes, -1
+                )[:, solve.scatter]
         except SolverDivergenceError as err:
             raise SolverDivergenceError(
                 err.guard,
@@ -1094,11 +1084,9 @@ class GridBatch:
         if result.tripped:
             # A guard trip poisons the whole member (its scalar re-run
             # re-applies the configured guard policy per point).
-            if groups is None:
-                doomed = {mp[g][0] for g in result.tripped}
-            else:
-                doomed = {int(groups[g][0][0]) for g in result.tripped}
-            self._demote_members(doomed, "guard")
+            self._demote_members(
+                {int(solve.members[g]) for g in result.tripped}, "guard"
+            )
 
     def _update_buffer(self) -> None:
         t = self.column.tech

@@ -171,7 +171,7 @@ def solver_guards_info() -> GuardConfig:
 #: ``{"batch": bool, "n_nodes": int, "n_lanes": int}``; grid solves add
 #: ``{"grid": True, "member": int, "member_r": float}`` and call the hook
 #: once per ensemble member with that member's ``(n_nodes, n_lanes)``
-#: block.
+#: block of real lanes (a padded stack's filler lanes are never shown).
 _FAULT_HOOK: Optional[Callable[[np.ndarray, dict], np.ndarray]] = None
 
 
@@ -498,6 +498,62 @@ class Network:
         return aug
 
     @staticmethod
+    def _augmented_stack(keys: Sequence[tuple]) -> np.ndarray:
+        """Stacked twin of :meth:`_augmented_matrix` for keys of one size.
+
+        Slice ``j`` is bit-identical to ``_augmented_matrix(keys[j])``:
+        every element receives the same contributions in the same order
+        as in the scalar loop (per edge ``(ia, ia)``, ``(ib, ib)``, then
+        the two off-diagonals; drivers after all edges).  ``np.add.at``
+        applies repeated indices one after another in index order, and
+        ``x + (-c)`` rounds exactly like ``x - c``.
+        """
+        count, n = len(keys), keys[0][0]
+        g = np.zeros((count, n, n))
+        s = np.zeros((count, n))
+        edges = [edge for key in keys for edge in key[2]]
+        if edges:
+            e = np.array(edges, dtype=float)
+            member = np.repeat(np.arange(count), [len(key[2]) for key in keys])
+            cond = 1.0 / e[:, 2]
+            keep = ~(cond < _G_MIN)
+            ia = e[keep, 0].astype(np.intp)
+            ib = e[keep, 1].astype(np.intp)
+            c = cond[keep]
+            np.add.at(
+                g,
+                (
+                    np.repeat(member[keep], 4),
+                    np.stack((ia, ib, ia, ib), axis=1).ravel(),
+                    np.stack((ia, ib, ib, ia), axis=1).ravel(),
+                ),
+                np.stack((c, c, -c, -c), axis=1).ravel(),
+            )
+        drivers = [drv for key in keys for drv in key[3]]
+        if drivers:
+            d = np.array(drivers, dtype=float)
+            member = np.repeat(np.arange(count), [len(key[3]) for key in keys])
+            cond = 1.0 / d[:, 2]
+            keep = ~(cond < _G_MIN)
+            node = d[keep, 0].astype(np.intp)
+            c = cond[keep]
+            np.add.at(g, (member[keep], node, node), c)
+            np.add.at(s, (member[keep], node), c * d[keep, 1])
+        inv_c = 1.0 / np.array([key[1] for key in keys], dtype=float)
+        a = -g * inv_c[:, :, None]
+        b = s * inv_c
+        if _GUARDS.condition_checks:
+            for rates in np.abs(np.diagonal(a, axis1=1, axis2=2)):
+                rates = rates[rates > 0]
+                if rates.size >= 2 and rates.max() / rates.min() > _GUARDS.condition_limit:
+                    telemetry.count("solver.guard_ill_conditioned")
+        durations = np.array([key[4] for key in keys], dtype=float)
+        aug = np.zeros((count, n + 1, n + 1))
+        aug[:, :n, :n] = a * durations[:, None, None]
+        aug[:, :n, n] = b * durations[:, None]
+        return aug
+
+    @staticmethod
     def _compute_propagator(key: tuple) -> Tuple[np.ndarray, np.ndarray]:
         """Build ``(Phi, phi)`` from a phase signature (a pure function)."""
         n = key[0]
@@ -780,17 +836,14 @@ def _expm_stack(ms: np.ndarray) -> np.ndarray:
 
 
 class GridResult(NamedTuple):
-    """Result of :meth:`NetworkEnsemble.run_grid`/``run_grid_blocks``.
+    """Result of :meth:`NetworkEnsemble.run_grid`/``run_grid_array``.
 
-    ``voltages`` is the full ``(n_members, n_nodes, n_lanes)`` stack
-    (from :meth:`~NetworkEnsemble.run_grid`) or the list of per-member
-    ``(n_nodes, n_lanes_m)`` blocks (from
-    :meth:`~NetworkEnsemble.run_grid_blocks`).  Members listed in
-    ``tripped`` (member index → guard name) hold unusable values and
-    must be discarded: the ensemble never recovers a member in place —
-    it reports the trip and lets the caller demote the member to the
-    scalar path, which stays the bit-exact oracle (including its
-    FALLBACK substep recovery).
+    ``voltages`` is the full ``(n_members, n_nodes, n_lanes)`` stack.
+    Members listed in ``tripped`` (member index → guard name) hold
+    unusable values and must be discarded: the ensemble never recovers a
+    member in place — it reports the trip and lets the caller demote the
+    member to the scalar path, which stays the bit-exact oracle
+    (including its FALLBACK substep recovery).
     """
 
     voltages: Any
@@ -804,8 +857,8 @@ class NetworkEnsemble:
     and stacks ``n_members`` phase configurations: resistors and drivers
     common to every member are declared once with
     :meth:`connect`/:meth:`drive`, member-specific ones (the defect
-    resistance, per-member sense-amp rails) with
-    :meth:`connect_member`/:meth:`drive_member`.
+    resistance, per-member sense-amp rails) for every member at once with
+    :meth:`connect_members`/:meth:`drive_members`.
 
     :meth:`run_grid` advances every member's ``(n_nodes, n_lanes)`` state
     block through one phase with a single stacked matmul.  Member
@@ -813,13 +866,14 @@ class NetworkEnsemble:
     grid and scalar engines share one source of truth and therefore stay
     bit-identical — and the assembled ``(N, n, n)`` stack is memoized in
     the ensemble cache (:func:`ensemble_cache_info`) unless
-    ``stacked_cache`` is off.  Members whose propagators all miss are
-    exponentiated together via :func:`_expm_stack`.
+    ``stacked_cache`` is off.  Members whose propagators miss are built
+    as one stack (:meth:`Network._augmented_stack`) and exponentiated
+    together via :func:`_expm_stack`.
     """
 
     def __init__(
         self, host: Network, n_members: int, member_meta=None,
-        member_lanes: Optional[Sequence[Tuple[int, ...]]] = None,
+        member_lanes: Optional[Sequence[Sequence[int]]] = None,
         stacked_cache: bool = True,
     ) -> None:
         if n_members < 0:
@@ -841,6 +895,8 @@ class NetworkEnsemble:
         #: Whether assembled stacks go through the ensemble cache; off,
         #: only the scalar propagator cache is consulted.
         self._stacked_cache = stacked_cache
+        # Edges are stored orientation-normalized (ia < ib), as they
+        # appear in a phase signature.
         self._shared_edges: List[Tuple[int, int, float]] = []
         self._shared_drivers: List[Tuple[int, float, float]] = []
         self._member_edges: List[List[Tuple[int, int, float]]] = [
@@ -849,11 +905,12 @@ class NetworkEnsemble:
         self._member_drivers: List[List[Tuple[int, float, float]]] = [
             [] for _ in range(self.n_members)
         ]
+        self._configured = False
         # Per-instance propagator memo: a caller that replays the same
         # (frozen) configuration skips even the signature computation.
         # Any mutation invalidates it (and the guard-hull cache below).
         self._prop_memo: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
-        self._volt_hull: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._rail_hull: Optional[Tuple[float, np.ndarray, np.ndarray]] = None
 
     # -- per-phase configuration ----------------------------------------------
 
@@ -862,32 +919,48 @@ class NetworkEnsemble:
         edge = self._make_edge(a, b, r)
         if edge is not None:
             self._shared_edges.append(edge)
-            self._prop_memo.clear()
-            self._volt_hull = None
+            self._mutated()
 
     def drive(self, node, v: float, r: float) -> None:
         """Attach a driver to *every* member."""
         drv = self._make_driver(node, v, r)
         if drv is not None:
             self._shared_drivers.append(drv)
-            self._prop_memo.clear()
-            self._volt_hull = None
+            self._mutated()
 
-    def connect_member(self, member: int, a, b, r: float) -> None:
-        """Join two nodes with a resistor in one member only."""
-        edge = self._make_edge(a, b, r)
-        if edge is not None:
-            self._member_edges[member].append(edge)
-            self._prop_memo.clear()
-            self._volt_hull = None
+    def connect_members(self, a, b, rs) -> None:
+        """Join two nodes in each member, member ``m`` through ``rs[m]``.
 
-    def drive_member(self, member: int, node, v: float, r: float) -> None:
-        """Attach a driver to one member only."""
-        drv = self._make_driver(node, v, r)
-        if drv is not None:
-            self._member_drivers[member].append(drv)
-            self._prop_memo.clear()
-            self._volt_hull = None
+        An ``OPEN`` entry leaves its member unconnected; small values are
+        clamped as :meth:`Network.connect` does.
+        """
+        ia, ib = self._host._resolve(a), self._host._resolve(b)
+        if ia == ib:
+            raise ValueError("cannot connect a node to itself")
+        if ia > ib:
+            ia, ib = ib, ia
+        added = False
+        for edges, r in zip(self._member_edges, self._per_member(rs)):
+            if math.isfinite(r):
+                edges.append((ia, ib, max(r, _R_MIN)))
+                added = True
+        if added:
+            self._mutated()
+
+    def drive_members(self, node, volts, rs) -> None:
+        """Attach a driver of level ``volts[m]`` behind ``rs[m]`` to each
+        member ``m`` (``volts`` may be one level for all); an ``OPEN``
+        entry leaves its member undriven."""
+        i = self._host._resolve(node)
+        added = False
+        for drivers, v, r in zip(
+            self._member_drivers, self._per_member(volts), self._per_member(rs)
+        ):
+            if math.isfinite(r):
+                drivers.append((i, float(v), max(r, _R_MIN)))
+                added = True
+        if added:
+            self._mutated()
 
     def clear_phase(self) -> None:
         """Remove all shared and member resistors/drivers."""
@@ -897,8 +970,24 @@ class NetworkEnsemble:
             edges.clear()
         for drivers in self._member_drivers:
             drivers.clear()
+        self._mutated()
+        self._configured = False
+
+    def _mutated(self) -> None:
+        self._configured = True
         self._prop_memo.clear()
-        self._volt_hull = None
+        self._rail_hull = None
+
+    def _per_member(self, values) -> list:
+        """One float per member from a per-member sequence or a scalar."""
+        if np.ndim(values) == 0:
+            return [float(values)] * self.n_members
+        values = np.asarray(values, dtype=float).tolist()
+        if len(values) != self.n_members:
+            raise ValueError(
+                f"{len(values)} values for {self.n_members} members"
+            )
+        return values
 
     def _make_edge(self, a, b, r: float) -> Optional[Tuple[int, int, float]]:
         # Same semantics as Network.connect: OPEN is a no-op, small r is
@@ -909,7 +998,8 @@ class NetworkEnsemble:
             raise ValueError("cannot connect a node to itself")
         if not math.isfinite(r):
             return None
-        return (ia, ib, max(r, _R_MIN))
+        r = max(r, _R_MIN)
+        return (ia, ib, r) if ia < ib else (ib, ia, r)
 
     def _make_driver(self, node, v: float, r: float) -> Optional[Tuple[int, float, float]]:
         if not math.isfinite(r):
@@ -918,54 +1008,26 @@ class NetworkEnsemble:
 
     # -- propagators ----------------------------------------------------------
 
-    def _member_key(self, member: int, duration: float) -> tuple:
-        """The *scalar* phase signature of one member's merged config.
-
-        Identical to what :meth:`Network._phase_signature` would return
-        for a Network configured with this member's shared + specific
-        edges/drivers — this is the coherence contract with the scalar
-        cache.
-        """
-        edges = tuple(
-            sorted(
-                (ia, ib, r) if ia < ib else (ib, ia, r)
-                for ia, ib, r in self._shared_edges + self._member_edges[member]
-            )
-        )
-        drivers = tuple(
-            sorted(self._shared_drivers + self._member_drivers[member])
-        )
-        host = self._host
-        return (len(host._names), tuple(host._caps), edges, drivers, duration)
-
-    def _signature(self, duration: float) -> tuple:
-        """Canonical key of the whole ensemble configuration.
-
-        The tuple of member signatures pins down the ensemble exactly
-        (every edge/driver appears in its member's merged key), and
-        sharing the member-key form lets :meth:`_propagators` reuse the
-        per-member sorting work instead of doing it twice on a miss.
-        """
-        return (self._member_keys(duration),)
-
     def _member_keys(self, duration: float) -> tuple:
-        """All members' scalar signatures with the shared parts hoisted."""
+        """Every member's *scalar* phase signature.
+
+        Member ``m``'s key is identical to what
+        :meth:`Network._phase_signature` returns for a Network configured
+        with that member's shared + specific edges/drivers — the
+        coherence contract with the scalar cache.  The tuple of member
+        keys is also the ensemble's own cache key: it pins the whole
+        configuration down exactly.
+        """
         host = self._host
         nn = len(host._names)
         caps = tuple(host._caps)
         shared_e = self._shared_edges
         shared_d = self._shared_drivers
-        keys = []
-        for edges_m, drivers_m in zip(self._member_edges, self._member_drivers):
-            edges = tuple(
-                sorted(
-                    (ia, ib, r) if ia < ib else (ib, ia, r)
-                    for ia, ib, r in shared_e + edges_m
-                )
-            )
-            drivers = tuple(sorted(shared_d + drivers_m))
-            keys.append((nn, caps, edges, drivers, duration))
-        return tuple(keys)
+        return tuple(
+            (nn, caps, tuple(sorted(shared_e + edges_m)),
+             tuple(sorted(shared_d + drivers_m)), duration)
+            for edges_m, drivers_m in zip(self._member_edges, self._member_drivers)
+        )
 
     def _propagators(
         self, duration: float
@@ -976,8 +1038,9 @@ class NetworkEnsemble:
         non-finite (they must be demoted; their stack rows are zeroed so
         they cannot poison the batched matmul).  Cache coherence: member
         values are first looked up in the scalar cache; misses are
-        computed (stacked when several miss at once) and stored back, so
-        a scalar solve of the same phase later hits the identical bits.
+        computed (as one stack when several miss at once) and stored back
+        as compact copies, so a scalar solve of the same phase later hits
+        the identical bits.
         """
         memo = self._prop_memo.get(duration)
         if memo is not None:
@@ -989,44 +1052,46 @@ class NetworkEnsemble:
             phis, offs = cached
             self._prop_memo[duration] = (phis, offs)
             return phis, offs, {}
-        values: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
+        n = len(self._host._names)
+        phis = np.empty((self.n_members, n, n))
+        offs = np.empty((self.n_members, n))
         missing: List[int] = []
         for m, mkey in enumerate(member_keys):
             value = _PROPAGATORS.lookup(mkey)
-            values.append(value)
             if value is None:
                 missing.append(m)
-        if len(missing) == 1:
-            # A lone miss goes through the scalar builder verbatim.
-            m = missing[0]
-            values[m] = Network._compute_propagator(member_keys[m])
-        elif missing:
-            n = len(self._host._names)
-            augs = np.stack(
-                [Network._augmented_matrix(member_keys[m]) for m in missing]
-            )
-            exps = _expm_stack(augs)
-            for j, m in enumerate(missing):
-                phi = exps[j, :n, :n].copy()
-                offset = exps[j, :n, n].copy()
-                phi.setflags(write=False)
-                offset.setflags(write=False)
-                values[m] = (phi, offset)
+            else:
+                phis[m], offs[m] = value
         bad: Dict[int, str] = {}
         all_finite = True
-        for m in missing:
-            phi, offset = values[m]
-            if np.isfinite(phi).all() and np.isfinite(offset).all():
-                # Same never-cache-non-finite rule as Network._propagator.
-                _PROPAGATORS.store(member_keys[m], values[m])
+        if missing:
+            if len(missing) == 1:
+                # A lone miss goes through the scalar builder verbatim.
+                exps = _expm(Network._augmented_matrix(member_keys[missing[0]]))[None]
             else:
-                all_finite = False
-                if _GUARDS.nan_checks:
-                    bad[m] = "nan"
-                    n = len(self._host._names)
-                    values[m] = (np.zeros((n, n)), np.zeros(n))
-        phis = np.stack([value[0] for value in values])
-        offs = np.stack([value[1] for value in values])
+                exps = _expm_stack(
+                    Network._augmented_stack([member_keys[m] for m in missing])
+                )
+            # Rows [:n] hold Phi and phi; the augmentation row is [0 ... 0 1].
+            finite = np.isfinite(exps[:, :n]).all(axis=(1, 2))
+            phis[missing] = exps[:, :n, :n]
+            offs[missing] = exps[:, :n, n]
+            for m, ok in zip(missing, finite.tolist()):
+                if ok:
+                    # Same never-cache-non-finite rule as
+                    # Network._propagator.  Copies, not views: a cached
+                    # member must not keep the whole stack alive.
+                    phi = phis[m].copy()
+                    offset = offs[m].copy()
+                    phi.setflags(write=False)
+                    offset.setflags(write=False)
+                    _PROPAGATORS.store(member_keys[m], (phi, offset))
+                else:
+                    all_finite = False
+                    if _GUARDS.nan_checks:
+                        bad[m] = "nan"
+                        phis[m] = 0.0
+                        offs[m] = 0.0
         phis.setflags(write=False)
         offs.setflags(write=False)
         if all_finite:
@@ -1063,117 +1128,120 @@ class NetworkEnsemble:
         out, tripped = self._advance_stack(duration, v0)
         return GridResult(np.asarray(out), tripped)
 
-    def run_grid_blocks(self, duration: float, blocks) -> GridResult:
-        """Ragged twin of :meth:`run_grid`: one ``(n_nodes, L_m)`` block
-        per member, lane counts free to differ.
-
-        This is the entry point the grid engine uses after forking
-        members by sense-amp state — each fork carries only the lanes
-        that agree on the latch decision.  Per member the math is the
-        identical ``Phi @ V0 + phi`` matrix product, so results stay
-        bit-identical to :meth:`Network.run_batch` on the same columns.
-        """
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        n = len(self._host._names)
-        # asarray, not array: callers hand over freshly gathered blocks, so
-        # copying every phase would only burn the hot path.  (A fully
-        # floating phase returns the input blocks unchanged.)
-        vs = [np.asarray(b, dtype=float) for b in blocks]
-        if len(vs) != self.n_members:
-            raise ValueError(
-                f"{len(vs)} blocks for {self.n_members} members"
-            )
-        for b in vs:
-            if b.ndim != 2 or b.shape[0] != n:
-                raise ValueError(
-                    f"each block must be (n_nodes, n_lanes); got {b.shape} "
-                    f"for {n} nodes"
-                )
-        if self.n_members == 0 or n == 0 or duration == 0:
-            return GridResult(vs, {})
-        if len({b.shape[1] for b in vs}) == 1:
-            out3, tripped = self._advance_stack(duration, np.stack(vs))
-            return GridResult(list(out3), tripped)
-        out, tripped = self._advance_blocks(duration, vs)
-        return GridResult(out, tripped)
-
-    def run_grid_array(self, duration: float, v0_stack: np.ndarray) -> GridResult:
+    def run_grid_array(
+        self, duration: float, v0_stack: np.ndarray,
+        widths: Optional[np.ndarray] = None,
+    ) -> GridResult:
         """Hot twin of :meth:`run_grid`: takes the ``(M, n, L)`` stack as-is
         (possibly a strided view of the caller's point pool) and returns the
         advanced stack without copies or per-block validation.
+
+        ``widths`` marks a padded stack — the grid engine's forked phases,
+        whose members carry different lane counts: member ``m`` has
+        ``widths[m]`` real lanes and its remaining lanes repeat its last
+        real one.  Each member's real lanes come out bit-identical to
+        :meth:`Network.run_batch` over exactly those lanes.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
         if self.n_members == 0 or v0_stack.size == 0 or duration == 0:
             return GridResult(v0_stack, {})
-        out, tripped = self._advance_stack(duration, v0_stack)
+        out, tripped = self._advance_stack(duration, v0_stack, widths)
         return GridResult(out, tripped)
 
     def _advance_stack(
-        self, duration: float, v0_stack: np.ndarray
+        self, duration: float, v0_stack: np.ndarray,
+        widths: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Dict[int, str]]:
-        """Same-width core: one batched matmul over the ``(M, n, L)`` stack.
+        """The one solve path: a batched matmul over the ``(M, n, L)`` stack.
 
-        np.matmul on a 3-D stack runs the identical GEMM per slice, so the
-        bits match per-member 2-D products (and therefore
-        :meth:`Network.run_batch`) exactly.
+        np.matmul on a 3-D stack runs the identical GEMM per slice, and a
+        lane's GEMM result does not depend on how many lanes sit beside
+        it, so the bits match per-member 2-D products (and therefore
+        :meth:`Network.run_batch`) exactly.  The one exception is a
+        single lane: BLAS solves it as a matrix-vector product, which
+        rounds differently, so one-lane members of a padded stack are
+        solved again as a one-lane stack.
         """
-        host = self._host
-        n = len(host._names)
-        n_members = self.n_members
+        n = len(self._host._names)
+        n_members, n_lanes = self.n_members, v0_stack.shape[2]
         if telemetry.enabled():
             telemetry.count("solver.grid_settles")
             telemetry.count("solver.grid_member_settles", n_members)
             telemetry.observe(
-                "solver.grid_lanes", n_members * v0_stack.shape[2]
+                "solver.grid_lanes",
+                n_members * n_lanes if widths is None else int(widths.sum()),
             )
-        if not self._has_config():
+        if not self._configured:
             # Fully floating phase: every node holds its charge exactly.
             telemetry.count("solver.floating_skips")
             return v0_stack, {}
         phis, offs, bad = self._propagators(duration)
-        out = np.matmul(phis, v0_stack) + offs[:, :, None]
+        # Node-major storage: the guards reduce over the node axis, which
+        # is fast when it is the outermost one, and a caller's flat
+        # (n_nodes, points) pool reshapes from it without a copy.
+        nodes_first = np.empty((n, n_members, n_lanes))
+        out = nodes_first.transpose(1, 0, 2)
+        np.matmul(phis, v0_stack, out=out)
+        nodes_first += offs.T[:, :, None]
+        if widths is not None and n_lanes > 1:
+            lone = np.flatnonzero(widths == 1)
+            if lone.size:
+                # Broadcast over the padding: it repeats the real lane.
+                out[lone] = (
+                    np.matmul(phis[lone], v0_stack[lone, :, :1])
+                    + offs[lone, :, None]
+                )
         if _FAULT_HOOK is not None:
             for m in range(n_members):
                 if m in bad:
                     continue
+                w = n_lanes if widths is None else int(widths[m])
                 info = {
                     "batch": True,
                     "grid": True,
                     "member": m,
                     "n_nodes": n,
-                    "n_lanes": v0_stack.shape[2],
+                    "n_lanes": w,
                 }
                 if self._member_meta is not None:
                     info["member_r"] = self._member_meta[m]
                 if self._member_lanes is not None:
-                    info["lanes"] = self._member_lanes[m]
-                out[m] = np.asarray(_FAULT_HOOK(out[m], info), dtype=float)
+                    info["lanes"] = tuple(int(l) for l in self._member_lanes[m])
+                out[m, :, :w] = np.asarray(
+                    _FAULT_HOOK(out[m, :, :w], info), dtype=float
+                )
+                # The padding repeats the (possibly corrupted) last real
+                # lane, so the guards below see real values only.
+                out[m, :, w:] = out[m, :, w - 1:w]
         tripped: Dict[int, str] = {}
         for m, guard in bad.items():
             tripped[m] = guard
             self._count_trip(guard)
         if not _GUARDS.nan_checks:
             return out, tripped
-        # Batched guard checks: the same NaN/rail decisions
-        # Network._check_result makes, one reduction pass for the stack.
+        # The NaN/rail decisions of Network._check_result, from
+        # per-(member, lane) extrema over the nodes: each lane's hull is
+        # its own initial extrema and its member's driver levels, widened
+        # by the margin — min(a, b) - m == min(a - m, b - m) exactly, since
+        # rounding is monotonic.
         margin = _GUARDS.rail_margin
-        # Per-(member, lane) extrema carry everything the guards need:
-        # NaN/±Inf propagate into min/max, so finiteness can be read off
-        # them without a separate isfinite pass over the whole stack, and
-        # the rail hull comparison is per lane anyway.
-        omn = out.min(axis=1)
-        omx = out.max(axis=1)
-        finite = np.isfinite(omn).all(axis=1) & np.isfinite(omx).all(axis=1)
-        vlo, vhi = self._driver_hull()
-        lo = np.minimum(v0_stack.min(axis=1), vlo[:, None])
-        hi = np.maximum(v0_stack.max(axis=1), vhi[:, None])
-        # NaN comparisons are False either way; `finite` catches those.
-        railed = ((omn < lo - margin) | (omx > hi + margin)).any(axis=1)
-        if finite.all() and not railed.any():
+        rail_lo, rail_hi = self._rail_bounds(margin)
+        omn = np.minimum.reduce(out, axis=1)
+        omx = np.maximum.reduce(out, axis=1)
+        lo = np.minimum.reduce(v0_stack, axis=1)
+        lo -= margin
+        np.minimum(lo, rail_lo, out=lo)
+        hi = np.maximum.reduce(v0_stack, axis=1)
+        hi += margin
+        np.maximum(hi, rail_hi, out=hi)
+        # Strict comparisons fail on NaN and on ±inf, so passing them
+        # clears both guards at once; classify only after a failure.
+        if ((omn > lo) & (omx < hi)).all():
             return out, tripped
-        evicted_ensemble = False
+        finite = np.isfinite(omn).all(axis=1) & np.isfinite(omx).all(axis=1)
+        railed = ((omn < lo) | (omx > hi)).any(axis=1)
+        member_keys = None
         for m in range(n_members):
             if m in tripped:
                 continue
@@ -1187,106 +1255,22 @@ class NetworkEnsemble:
             self._count_trip(guard)
             # Never leave the propagator behind a tripped solve cached —
             # neither the member's scalar entry nor the stacked block.
-            _PROPAGATORS.evict(self._member_key(m, duration))
-            if not evicted_ensemble:
-                evicted_ensemble = True
-                _ENSEMBLES.evict(self._signature(duration))
+            if member_keys is None:
+                member_keys = self._member_keys(duration)
+                _ENSEMBLES.evict((member_keys,))
                 self._prop_memo.pop(duration, None)
+            _PROPAGATORS.evict(member_keys[m])
         return out, tripped
 
-    def _advance_blocks(
-        self, duration: float, v0_blocks: List[np.ndarray]
-    ) -> Tuple[List[np.ndarray], Dict[int, str]]:
-        """Ragged core of :meth:`run_grid_blocks`: lane counts differ, so
-        each member gets its own 2-D matrix product."""
-        host = self._host
-        n = len(host._names)
-        if telemetry.enabled():
-            telemetry.count("solver.grid_settles")
-            telemetry.count("solver.grid_member_settles", self.n_members)
-            telemetry.observe(
-                "solver.grid_lanes", sum(b.shape[1] for b in v0_blocks)
-            )
-        if not self._has_config():
-            # Fully floating phase: every node holds its charge exactly.
-            telemetry.count("solver.floating_skips")
-            return v0_blocks, {}
-        phis, offs, bad = self._propagators(duration)
-        v_t = [
-            phis[m] @ v0_blocks[m] + offs[m][:, None]
-            for m in range(self.n_members)
-        ]
-        if _FAULT_HOOK is not None:
-            for m in range(self.n_members):
-                if m in bad:
-                    continue
-                info = {
-                    "batch": True,
-                    "grid": True,
-                    "member": m,
-                    "n_nodes": n,
-                    "n_lanes": v0_blocks[m].shape[1],
-                }
-                if self._member_meta is not None:
-                    info["member_r"] = self._member_meta[m]
-                if self._member_lanes is not None:
-                    info["lanes"] = self._member_lanes[m]
-                v_t[m] = np.asarray(_FAULT_HOOK(v_t[m], info), dtype=float)
-        tripped: Dict[int, str] = {}
-        for m, guard in bad.items():
-            tripped[m] = guard
-            self._count_trip(guard)
-        if not _GUARDS.nan_checks:
-            return v_t, tripped
-        # Per-member guard checks: the same NaN/rail decisions
-        # Network._check_result makes.
-        margin = _GUARDS.rail_margin
-        guards: List[Optional[str]] = []
-        shared_v = [v for _, v, _ in self._shared_drivers]
-        for m in range(self.n_members):
-            if m in tripped:
-                guards.append(None)
-                continue
-            block = v_t[m]
-            if not np.isfinite(block).all():
-                guards.append("nan")
-                continue
-            lo = v0_blocks[m].min(axis=0)
-            hi = v0_blocks[m].max(axis=0)
-            volts = shared_v + [v for _, v, _ in self._member_drivers[m]]
-            if volts:
-                lo = np.minimum(lo, min(volts))
-                hi = np.maximum(hi, max(volts))
-            if (
-                (block < (lo - margin)[None, :]).any()
-                or (block > (hi + margin)[None, :]).any()
-            ):
-                guards.append("rail")
-            else:
-                guards.append(None)
-        evicted_ensemble = False
-        for m, guard in enumerate(guards):
-            if guard is None or m in tripped:
-                continue
-            tripped[m] = guard
-            self._count_trip(guard)
-            # Never leave the propagator behind a tripped solve cached —
-            # neither the member's scalar entry nor the stacked block.
-            _PROPAGATORS.evict(self._member_key(m, duration))
-            if not evicted_ensemble:
-                evicted_ensemble = True
-                _ENSEMBLES.evict(self._signature(duration))
-                self._prop_memo.pop(duration, None)
-        return v_t, tripped
-
-    def _driver_hull(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-member (min, max) driver voltages, cached until a mutation.
+    def _rail_bounds(self, margin: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-member ``(min driver - margin, max driver + margin)`` as
+        ``(M, 1)`` columns, cached until a mutation.
 
         Members without any driver get ``(+inf, -inf)`` so they extend no
         hull at all.
         """
-        hull = self._volt_hull
-        if hull is None:
+        bounds = self._rail_hull
+        if bounds is None or bounds[0] != margin:
             shared_v = [v for _, v, _ in self._shared_drivers]
             vlo = np.full(self.n_members, np.inf)
             vhi = np.full(self.n_members, -np.inf)
@@ -1295,16 +1279,10 @@ class NetworkEnsemble:
                 if volts:
                     vlo[m] = min(volts)
                     vhi[m] = max(volts)
-            hull = self._volt_hull = (vlo, vhi)
-        return hull
-
-    def _has_config(self) -> bool:
-        return bool(
-            self._shared_edges
-            or self._shared_drivers
-            or any(self._member_edges)
-            or any(self._member_drivers)
-        )
+            bounds = self._rail_hull = (
+                margin, (vlo - margin)[:, None], (vhi + margin)[:, None],
+            )
+        return bounds[1], bounds[2]
 
     @staticmethod
     def _count_trip(guard: str) -> None:

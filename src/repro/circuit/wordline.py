@@ -10,15 +10,21 @@ no memory operation manipulates a floating word line).
 
 The gate is simulated analytically (single-RC exponential per phase) and
 converted to an access-transistor conduction factor; the nonlinearity thus
-stays out of the linear network solver.
+stays out of the linear network solver.  :func:`decay_factors`,
+:func:`advance_gates` and :func:`conduction_factors` step a whole array
+of gates (one per grid point) with the same float operations as
+:class:`WordLineGate`, gate for gate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
-__all__ = ["WordLineGate"]
+import numpy as np
+
+__all__ = ["WordLineGate", "decay_factors", "advance_gates", "conduction_factors"]
 
 
 @dataclass
@@ -59,3 +65,47 @@ class WordLineGate:
             raise ValueError("v_on must exceed v_threshold")
         factor = (mean_voltage - v_threshold) / (v_on - v_threshold)
         return min(1.0, max(0.0, factor))
+
+
+def decay_factors(
+    resistance: np.ndarray, capacitance: float, duration: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-gate ``(x, exp(-x))`` of a phase, ``x = duration / (R C)``.
+
+    ``math.exp`` runs once per distinct ``R C``: NumPy's ``exp`` may round
+    differently, which would move gate voltages.  A gate with ``R <= 0``
+    follows its driver instantly; ``x = inf`` and ``exp(-x) = 0`` make
+    :func:`advance_gates` return exactly the driver level for it.
+    """
+    r = np.asarray(resistance, dtype=float)
+    x = np.full(r.shape, np.inf)
+    decay = np.zeros(r.shape)
+    live = r > 0
+    if live.any():
+        tau, inverse = np.unique(r[live] * capacitance, return_inverse=True)
+        x_tau = duration / tau
+        x[live] = x_tau[inverse]
+        decay[live] = np.array([math.exp(-v) for v in x_tau.tolist()])[inverse]
+    return x, decay
+
+
+def advance_gates(
+    voltage: np.ndarray, driven: float, x: np.ndarray, decay: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:meth:`WordLineGate.advance` for an array of gates and a phase of
+    positive duration: ``(end voltages, mean voltages)``."""
+    delta = voltage - driven
+    return driven + delta * decay, driven + delta * (1.0 - decay) / x
+
+
+def conduction_factors(
+    mean_voltage: np.ndarray, v_threshold: float, v_on: float
+) -> np.ndarray:
+    """:meth:`WordLineGate.conduction` for an array of gate levels."""
+    if v_on <= v_threshold:
+        raise ValueError("v_on must exceed v_threshold")
+    factor = (mean_voltage - v_threshold) / (v_on - v_threshold)
+    # max(0.0, f) and min(1.0, f) keep their first argument unless f is
+    # strictly beyond it (NaN included).
+    factor = np.where(factor > 0.0, factor, 0.0)
+    return np.where(factor < 1.0, factor, 1.0)

@@ -39,7 +39,6 @@ import numpy as np
 
 from .. import telemetry
 from ..circuit.column import DRAMColumn, GridBatch
-from ..circuit.wordline import WordLineGate
 from ..circuit.defects import FloatingNode, OpenDefect, OpenLocation, floating_nodes
 from ..circuit import network as circuit_network
 from ..circuit.network import GuardPolicy, solver_guards_configure, solver_guards_info
@@ -560,9 +559,8 @@ class ColumnFaultAnalyzer:
         Word-line opens put the defect resistance inside the nonlinear
         gate dynamics, and the swept ``U`` initializes the gate itself:
         every ``(R_def, U)`` point has its own gate trajectory.  The grid
-        engine then makes each point a width-1 ensemble member carrying a
-        private :class:`~repro.circuit.wordline.WordLineGate` instead of
-        stacking one member per ``R_def``.
+        engine then makes each point a width-1 ensemble member carrying
+        its own gate voltage instead of stacking one member per ``R_def``.
         """
         return (
             self.location is OpenLocation.WORD_LINE
@@ -669,22 +667,18 @@ class ColumnFaultAnalyzer:
                 # Word-line grid: the gate trajectory depends on both R_def
                 # (charging resistance) and U (initial gate charge), so every
                 # point becomes its own width-1 member with a private gate.
-                t = column.tech
                 n_u = len(u_values)
                 member_r = tuple(float(r) for r in r_values for _ in u_values)
                 states = np.stack(
                     [lanes[j] for _ in r_values for j in range(n_u)]
                 )[:, :, None]
-                member_gates = [
-                    {gate_row: WordLineGate(
-                        t.c_wl_gate, float(r), gate_inits[j],
-                    )}
-                    for r in r_values for j in range(n_u)
-                ]
                 point_lanes = [[j] for _ in r_values for j in range(n_u)]
                 batch = GridBatch(
                     column, member_r, states,
-                    member_gates=member_gates, point_lanes=point_lanes,
+                    gate_voltages=[
+                        gate_inits[j] for _ in r_values for j in range(n_u)
+                    ],
+                    point_lanes=point_lanes,
                     ens_cache=self._grid_ens_cache,
                     plan_cache=self._grid_plan_cache,
                 )

@@ -342,9 +342,16 @@ class JsonlAppender:
         self.label = label
         self._fd: Optional[int] = None
 
-    def append(self, record: Dict[str, Any]) -> int:
-        """Append one record as one ``write()``; returns bytes written."""
-        data = (json.dumps(record) + "\n").encode("utf-8")
+    def append(self, record: Dict[str, Any], fresh_line: bool = False) -> int:
+        """Append one record as one ``write()``; returns bytes written.
+
+        ``fresh_line`` puts a newline before the record, ending a torn
+        line an earlier failed append left behind.  Only a file's single
+        writer may ask for it: with concurrent writers the file's last
+        line may be another writer's complete record.
+        """
+        line = json.dumps(record) + "\n"
+        data = ("\n" + line if fresh_line else line).encode("utf-8")
         if self._fd is None:
             self._fd = os.open(
                 self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644

@@ -189,5 +189,10 @@ def _minimize(
 
 
 def _sound(test: MarchTest) -> bool:
-    """A fault-free memory must pass the test (no false positives)."""
+    """The test writes every cell before reading it (a march cannot
+    assume the array's power-up state), and a fault-free memory passes
+    it (no false positives)."""
+    first = next((op for element in test.elements for op in element.ops), None)
+    if first is not None and first.is_read:
+        return False
     return not _fails_fault_free(test)

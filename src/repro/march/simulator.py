@@ -37,7 +37,6 @@ from .. import telemetry
 from ..circuit.column import DRAMColumn, GridBatch
 from ..circuit.defects import FloatingNode, OpenDefect, OpenLocation
 from ..circuit.technology import Technology, default_technology
-from ..circuit.wordline import WordLineGate
 from ..core.fault_primitives import FaultPrimitive
 from ..memory.array import Topology
 from ..memory.fault_machine import BehavioralFault, NodeKind
@@ -248,12 +247,7 @@ def _run_group(
             host,
             [defects[i].resistance for i, _ in points],
             np.stack([states[j] for _, j in points])[:, :, None],
-            member_gates=[
-                {row: WordLineGate(
-                    host.tech.c_wl_gate, defects[i].resistance, gate_inits[j]
-                )}
-                for i, j in points
-            ],
+            gate_voltages=[gate_inits[j] for _, j in points],
             point_lanes=[[j] for _, j in points],
             shared_stacks=False,
         )

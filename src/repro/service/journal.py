@@ -4,8 +4,8 @@ Every admitted job and every lifecycle transition is appended to one
 JSONL file under ``--work-dir`` *before* the service acts on it, using
 the same durability discipline as the unit checkpoints
 (:class:`repro.io.JsonlAppender`: ``O_APPEND``, one record per
-``write()``, short writes abandoned as a torn tail) plus an ``fsync``
-per record — a journal that can lose acknowledged submissions is not a
+``write()``, short writes abandoned as a torn tail, the record after one
+started on a fresh line) plus an ``fsync`` per record — a journal that can lose acknowledged submissions is not a
 journal.
 
 Record shapes (one JSON object per line)::
@@ -118,6 +118,11 @@ class JobJournal:
         self.stats = JournalStats()
         self._lock = threading.Lock()
         self._appender = JsonlAppender(path, fsync=True)
+        #: Set by a failed append, which may have left a partial line
+        #: without its newline: the next record then starts on a fresh
+        #: line instead of being glued onto the torn one.  The journal is
+        #: its file's only writer, so this cannot split anyone's record.
+        self._torn = False
 
     # -- writing ---------------------------------------------------------------
 
@@ -137,10 +142,12 @@ class JobJournal:
         }
         with self._lock:
             try:
-                written = self._appender.append(record)
+                written = self._appender.append(record, fresh_line=self._torn)
             except OSError:
                 self.stats.errors += 1
+                self._torn = True
                 raise
+            self._torn = False
             self.stats.records += 1
             self.stats.lag += 1
             self.stats.bytes += written
@@ -308,6 +315,7 @@ class JobJournal:
         os.replace(tmp, self.path)
         _fsync_dir(os.path.dirname(self.path) or ".")
         self._appender = JsonlAppender(self.path, fsync=True)
+        self._torn = False
         self.stats.compactions += 1
         self.stats.records = len(records)
         self.stats.lag = len(records)

@@ -3,17 +3,23 @@
 Four layers are pinned here:
 
 * :func:`repro.circuit.network._expm_stack` produces bit-identical
-  exponentials to the scalar :func:`~repro.circuit.network._expm`;
-* :meth:`NetworkEnsemble.run_grid` reproduces per-member
-  :meth:`Network.run_batch` solves bit-exactly (shared propagator
-  cache, stacked matmul) — as a Hypothesis property over random
-  topologies, member resistances and initial states;
+  exponentials to the scalar :func:`~repro.circuit.network._expm`, and
+  :meth:`Network._augmented_stack` bit-identical system matrices to the
+  scalar :meth:`Network._augmented_matrix`;
+* :meth:`NetworkEnsemble.run_grid` (and a padded ``run_grid_array``
+  stack) reproduces per-member :meth:`Network.run_batch` solves
+  bit-exactly (shared propagator cache, stacked matmul) — as Hypothesis
+  properties over random topologies, member resistances, lane counts
+  and initial states;
 * sense-amp lane disagreement *forks* a :class:`GridBatch` member
-  instead of demoting it, and the resulting region map is identical to
-  the scalar analyzer's — including the word-line grid, whose points
-  carry private gates;
-* only members whose solves actually trip a guard are demoted, and the
-  demoted members re-run through the scalar path.
+  instead of demoting it: after every phase each point equals
+  ``run_batch`` over exactly its fork's lanes, and the resulting region
+  map is identical to the scalar analyzer's — including the word-line
+  grid, whose points carry their own gates (stepped as arrays,
+  bit-identical to :class:`WordLineGate`);
+* only members whose solves actually trip a guard are demoted, with the
+  same guard names, counters and cache evictions on uniform and forked
+  pools, and the demoted members re-run through the scalar path.
 
 Plus the prefix memo: :meth:`GridBatch.snapshot`/:meth:`~GridBatch.restore`
 round-trip the mutable state, and a replayed prefix yields the same
@@ -26,14 +32,25 @@ import pytest
 from hypothesis import given, settings
 
 from repro import telemetry
+from repro.circuit.column import GridBatch
 from repro.circuit.defects import FloatingNode, OpenLocation
 from repro.circuit.network import (
+    _G_MIN,
     Network,
     NetworkEnsemble,
     _expm,
     _expm_stack,
+    ensemble_cache_info,
     propagator_cache_clear,
+    propagator_cache_info,
+    solver_guards_configure,
     _install_solver_fault_hook,
+)
+from repro.circuit.wordline import (
+    WordLineGate,
+    advance_gates,
+    conduction_factors,
+    decay_factors,
 )
 from repro.core.analysis import ColumnFaultAnalyzer, default_grid_for
 from repro.core.fault_primitives import parse_sos
@@ -60,6 +77,82 @@ def test_expm_stack_matches_scalar_expm_bitwise(m, n, seed):
     stacked = _expm_stack(mats)
     for i in range(m):
         assert np.array_equal(stacked[i], _expm(mats[i]))
+
+
+# -- stacked system matrices ---------------------------------------------------
+
+#: Resistances whose conductance falls below _G_MIN sit beside ordinary
+#: ones, so the builder's skip rule is exercised.
+_resistances = st.one_of(
+    st.floats(1e-3, 1e9), st.floats(2.0 / _G_MIN, 1e18)
+)
+
+
+@st.composite
+def phase_keys(draw):
+    """Same-size phase signatures with shared endpoints, parallel edges,
+    edges below _G_MIN and several drivers on one node — in any order,
+    since the builder must follow the key's own order."""
+    n = draw(st.integers(2, 5))
+    node = st.integers(0, n - 1)
+    keys = []
+    for _ in range(draw(st.integers(1, 5))):
+        caps = tuple(draw(st.lists(
+            st.floats(1e-16, 1e-12), min_size=n, max_size=n
+        )))
+        pairs = draw(st.lists(
+            st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=7
+        ))
+        # Parallel edges: repeat one pair with its own resistance.
+        if pairs:
+            pairs.append(pairs[0])
+        edges = tuple(
+            (min(a, b), max(a, b), draw(_resistances)) for a, b in pairs
+        )
+        drivers = [
+            (draw(node), draw(st.floats(-1.0, 4.0)), draw(_resistances))
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        # Several drivers on one node.
+        if drivers:
+            drivers.append((drivers[0][0], draw(st.floats(-1.0, 4.0)),
+                            draw(_resistances)))
+        duration = draw(st.floats(1e-12, 1e-6))
+        keys.append((n, caps, edges, tuple(drivers), duration))
+    return keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(phase_keys())
+def test_augmented_stack_matches_scalar_builder_bitwise(keys):
+    stacked = Network._augmented_stack(keys)
+    expected = np.stack([Network._augmented_matrix(key) for key in keys])
+    assert stacked.tobytes() == expected.tobytes()
+
+
+def test_augmented_stack_counts_ill_conditioning_like_the_scalar_builder():
+    stiff = (3, (1e-15, 1e-15, 1e-15), ((0, 1, 1e-3), (1, 2, 1e14)), (), 1e-9)
+    mild = (3, (1e-15, 1e-15, 1e-15), ((0, 1, 1e3), (1, 2, 2e3)), (), 1e-9)
+    keys = [stiff, mild, stiff]
+
+    def counted(build):
+        telemetry.enable()
+        telemetry.reset()
+        try:
+            build()
+            counters = telemetry.get_metrics().snapshot()["counters"]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        return counters.get("solver.guard_ill_conditioned", 0)
+
+    solver_guards_configure(condition_checks=True)
+    try:
+        scalar = counted(lambda: [Network._augmented_matrix(k) for k in keys])
+        stacked = counted(lambda: Network._augmented_stack(keys))
+    finally:
+        solver_guards_configure(condition_checks=False)
+    assert scalar == stacked == 2
 
 
 # -- ensemble vs per-member scalar solves --------------------------------------
@@ -109,8 +202,7 @@ def test_run_grid_matches_per_member_run_batch_bitwise(case):
     for i, j, r in shared:
         ens.connect(names[i], names[j], r)
     ens.drive(names[0], drive_v, 2e3)
-    for m, r in enumerate(member_r):
-        ens.connect_member(m, names[di], names[dj], float(r))
+    ens.connect_members(names[di], names[dj], member_r)
     result = ens.run_grid(duration, v0)
     assert result.tripped == {}
     for m, r in enumerate(member_r):
@@ -123,24 +215,41 @@ def test_run_grid_matches_per_member_run_batch_bitwise(case):
         assert np.array_equal(np.asarray(result.voltages)[m], expected)
 
 
-@settings(max_examples=20, deadline=None)
-@given(ensemble_cases())
-def test_run_grid_blocks_ragged_matches_same_width(case):
+@settings(max_examples=40, deadline=None)
+@given(ensemble_cases(), st.data())
+def test_padded_run_grid_array_matches_run_batch_over_real_lanes(case, data):
+    # A forked phase hands the solver one stack padded to its widest
+    # member; each member's real lanes (one lane included, which BLAS
+    # solves as a matrix-vector product) must still come out exactly as
+    # Network.run_batch gives them.
     n, caps, v0, shared, (di, dj), member_r, drive_v, duration = case
     names = _nodes(n)
-    host = _build_host(n, caps)
-    ens = NetworkEnsemble(host, len(member_r))
+    widths = np.array([
+        data.draw(st.integers(1, v0.shape[2])) for _ in member_r
+    ])
+    padded = v0.copy()
+    for m, w in enumerate(widths):
+        padded[m, :, w:] = padded[m, :, w - 1:w]
+    ens = NetworkEnsemble(_build_host(n, caps), len(member_r))
     for i, j, r in shared:
         ens.connect(names[i], names[j], r)
     ens.drive(names[0], drive_v, 2e3)
+    ens.connect_members(names[di], names[dj], member_r)
+    result = ens.run_grid_array(duration, padded, widths)
+    assert result.tripped == {}
     for m, r in enumerate(member_r):
-        ens.connect_member(m, names[di], names[dj], float(r))
-    stacked = ens.run_grid(duration, v0)
-    blocks = ens.run_grid_blocks(duration, [v0[m] for m in range(len(member_r))])
-    assert blocks.tripped == {}
-    for m in range(len(member_r)):
+        ref = _build_host(n, caps)
+        for i, j, rr in shared:
+            ref.connect(names[i], names[j], rr)
+        ref.drive(names[0], drive_v, 2e3)
+        ref.connect(names[di], names[dj], float(r))
+        expected = ref.run_batch(duration, v0[m, :, :widths[m]])
+        got = np.asarray(result.voltages)[m]
+        assert np.array_equal(got[:, :widths[m]], expected)
+        # The padding repeats the last real lane.
         assert np.array_equal(
-            np.asarray(stacked.voltages)[m], np.asarray(blocks.voltages[m])
+            got[:, widths[m]:],
+            np.repeat(expected[:, -1:], v0.shape[2] - widths[m], axis=1),
         )
 
 
@@ -227,6 +336,157 @@ def test_lane_disagreement_forks_instead_of_demoting():
     assert counters.get("column.grid_demotions", 0) == 0
     scalar = ColumnFaultAnalyzer(location, grid=grid, grid_engine=False)
     assert grid_labels == _labels(scalar, sos, FloatingNode.BIT_LINE, grid)
+
+
+#: Floating bit-line levels that split a member's latch decisions 1/5:
+#: a forked phase then pads a one-lane group beside a five-lane one.
+_SPLIT_LANES = (0.0, 2.0, 2.4, 2.8, 3.0, 3.3)
+
+
+def _split_batch(stored=0):
+    location = OpenLocation.BL_PRECHARGE_CELLS
+    grid = default_grid_for(location, n_r=3, n_u=len(_SPLIT_LANES))
+    analyzer = ColumnFaultAnalyzer(location, grid=grid, grid_engine=True)
+    column = analyzer.make_column(grid.r_values[0])
+    data = {analyzer.victim_row: stored}
+    lanes = []
+    for u in _SPLIT_LANES:
+        column.reset(data)
+        column.set_floating_voltage(FloatingNode.BIT_LINE, u)
+        lanes.append(column.net.state_vector())
+    column.reset(data)
+    batch = GridBatch(column, (3e3, 1e5, 3e7), np.stack(lanes, axis=1))
+    return batch, analyzer
+
+
+def test_forked_tile_matches_run_batch_per_group_bitwise(monkeypatch):
+    batch, analyzer = _split_batch()
+    widths_seen = []
+    phase = GridBatch._phase
+
+    def checked(self, duration, active_row, precharge=False,
+                sa_drive=False, write_value=None):
+        before = self.V.copy()
+        latch = (
+            np.where(self._fired, self._value + 1, 0) if sa_drive
+            else np.zeros(self._pt_member.size, dtype=int)
+        )
+        members, r_of = self._pt_member.copy(), self._pt_r.copy()
+        phase(self, duration, active_row, precharge, sa_drive, write_value)
+        assert not self.demoted
+        groups = sorted(set(zip(members.tolist(), latch.tolist())))
+        widths_seen.append([
+            int(((members == m) & (latch == l)).sum()) for m, l in groups
+        ])
+        for m, l in groups:
+            points = np.flatnonzero((members == m) & (latch == l))
+            ref = analyzer.make_column(r_of[points[0]])
+            ref.sa.fired, ref.sa.value = l > 0, (l - 1 if l else None)
+            ref._apply_plan(ref._phase_plan(
+                duration, active_row, precharge, sa_drive, write_value
+            ))
+            expected = ref.net.run_batch(duration, before[:, points])
+            assert self.V[:, points].tobytes() == expected.tobytes()
+
+    monkeypatch.setattr(GridBatch, "_phase", checked)
+    victim = analyzer.victim_row
+    batch.read(victim)
+    batch.write(victim, 1)
+    batch.read(victim)
+    batch.write(victim, 0)
+    # The tile forked into a lone lane beside a padded five-lane group.
+    assert any(1 in w and 5 in w for w in widths_seen)
+
+
+def _guard_run(poison, forked):
+    """Read a preloaded 1 on the split tile while the fault hook writes
+    ``poison`` into node 0 of one real lane of member 1's first solve —
+    in the first (forked) sense phase, or in the (uniform) precharge.
+
+    Returns what the guards did: the demoted members, the guard
+    counters and the cache evictions.
+    """
+    batch, analyzer = _split_batch(stored=1)
+    target_r = batch.r_values[1]
+    fired = []
+
+    def hook(v_t, info):
+        if fired or info.get("member_r") != target_r:
+            return v_t
+        if forked and info["n_lanes"] == len(_SPLIT_LANES):
+            return v_t
+        fired.append(info["n_lanes"])
+        out = np.array(v_t)
+        out[0, -1] = poison
+        return out
+
+    before = (propagator_cache_info().evictions, ensemble_cache_info().evictions)
+    telemetry.enable()
+    telemetry.reset()
+    _install_solver_fault_hook(hook)
+    try:
+        batch.read(analyzer.victim_row)
+        counters = telemetry.get_metrics().snapshot()["counters"]
+    finally:
+        _install_solver_fault_hook(None)
+        telemetry.disable()
+        telemetry.reset()
+    assert fired == ([1] if forked else [len(_SPLIT_LANES)])
+    guards = {k: v for k, v in counters.items() if k.startswith("solver.guard")}
+    evictions = (
+        propagator_cache_info().evictions - before[0],
+        ensemble_cache_info().evictions - before[1],
+    )
+    return batch.demoted, guards, evictions
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["uniform", "forked"])
+@pytest.mark.parametrize(
+    "poison,guard",
+    [(np.nan, "nan"), (np.inf, "nan"), (-np.inf, "nan"), (40.0, "rail")],
+    ids=["nan", "+inf", "-inf", "rail"],
+)
+def test_guard_trip_pins_member_guard_counters_and_evictions(
+    poison, guard, forked
+):
+    demoted, guards, evictions = _guard_run(poison, forked)
+    assert demoted == {1: "guard"}
+    assert guards == {"solver.guard_trips": 1, f"solver.guard_{guard}": 1}
+    # The member's scalar propagator and the ensemble's stacked block.
+    assert evictions == (1, 1)
+
+
+# -- word-line gates as arrays -------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-1.0, 4.0),
+            st.one_of(st.just(0.0), st.sampled_from([1e3, 5e4]),
+                      st.floats(1e2, 1e9)),
+        ),
+        min_size=1, max_size=12,
+    ),
+    st.floats(1e-16, 1e-13),
+    st.floats(1e-12, 1e-7),
+    st.sampled_from([0.0, 3.3, 2.8]),
+)
+def test_array_gate_step_equals_wordline_gate_bitwise(gates, c, duration, driven):
+    voltages = np.array([v for v, _ in gates])
+    resistances = np.array([r for _, r in gates])
+    x, decay = decay_factors(resistances, c, duration)
+    end, mean = advance_gates(voltages, driven, x, decay)
+    factors = conduction_factors(mean, 0.6, 2.8)
+    for i, (v, r) in enumerate(gates):
+        gate = WordLineGate(capacitance=c, resistance=r, voltage=v)
+        gate_mean = gate.advance(driven, duration)
+        assert np.float64(gate.voltage).tobytes() == end[i].tobytes()
+        assert np.float64(gate_mean).tobytes() == mean[i].tobytes()
+        assert (
+            np.float64(gate.conduction(gate_mean, 0.6, 2.8)).tobytes()
+            == factors[i].tobytes()
+        )
 
 
 def test_full_survey_grid_equals_scalar():

@@ -64,3 +64,24 @@ class TestGeneration:
         two = generate_march((READ_FAULT, READ_FAULT), topology=TOPO,
                              verify=False)
         assert one.ops_per_address == two.ops_per_address
+
+
+def test_minimized_test_for_the_papers_completed_faults_writes_first():
+    """Minimizing must not drop the initializing write: the greedy pass
+    once returned ``{⇑(r0,r0,w1); ⇕(w0); …}`` for the paper's own 12
+    completed FPs, which passes a 0-filled fault-free memory only."""
+    from repro.experiments.table1 import PAPER_TABLE1
+
+    faults = []
+    for row in PAPER_TABLE1:
+        if row.completed is None:
+            continue
+        fp = parse_fp(row.completed)
+        for candidate in (fp, fp.complement()):
+            if candidate not in faults:
+                faults.append(candidate)
+    assert len(faults) == 12
+    generated = generate_march(faults, minimize=True)
+    first = next(op for element in generated.test.elements for op in element.ops)
+    assert first.is_write
+    assert generated.verified and not generated.uncoverable

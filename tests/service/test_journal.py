@@ -82,6 +82,33 @@ class TestDamageTolerance:
         assert [e.job for e in entries] == ["j1"]
         assert journal.stats.torn == 1
 
+    def test_record_after_a_failed_append_starts_a_fresh_line(
+        self, journal, monkeypatch
+    ):
+        # A short write (disk full) leaves a partial line without its
+        # newline; the next acknowledged record must not be glued onto
+        # it and lost with it on replay.
+        real_write = os.write
+        writes = []
+
+        def short_first_write(fd, data):
+            writes.append(data)
+            if len(writes) == 1:
+                return real_write(fd, data[: len(data) // 2])
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", short_first_write)
+        with pytest.raises(OSError):
+            journal.submit("job-a", "addr-a", _spec_json())
+        journal.submit("job-b", "addr-b", _spec_json())
+        monkeypatch.undo()
+        assert [e.job for e in journal.replay()] == ["job-b"]
+        assert journal.stats.torn == 1
+        # Only the record after the failure pays the extra newline.
+        journal.submit("job-c", "addr-c", _spec_json())
+        with open(journal.path, encoding="utf-8") as fh:
+            assert fh.read().count("\n") == 3
+
     def test_garbage_and_unknown_records_are_skipped(self, journal):
         journal.submit("j1", "addr1", _spec_json())
         with open(journal.path, "a", encoding="utf-8") as fh:
