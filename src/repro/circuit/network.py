@@ -791,48 +791,66 @@ def _expm_stack(ms: np.ndarray) -> np.ndarray:
     elementwise or slice-local, so running them on the stacked array
     performs the exact same float operations per slice as the scalar
     routine — members just march in lock-step.  Each member keeps its own
-    scaling exponent and its own break decision: converged members stop
-    accumulating into their result (mirroring the scalar early ``break``)
-    while the rest continue, and the squaring loop re-squares each member
-    exactly ``squarings`` times via boolean masks.
+    scaling exponent and its own break decision: a converged member
+    leaves the Taylor stack (mirroring the scalar early ``break``) and is
+    multiplied no further, and the exact result norm is taken only for
+    members whose running bound already passes, as in :func:`_expm`.
+    The stack is sorted by squaring count, most first, so every squaring
+    step squares a leading slice.
     """
     ms = np.asarray(ms, dtype=float)
     count, n = ms.shape[0], ms.shape[1]
     if count == 0:
         return np.empty_like(ms)
-    # Per-slice infinity norm: max absolute row sum, same reduction
-    # np.linalg.norm(m, ord=inf) performs.
-    norms = np.abs(ms).sum(axis=2).max(axis=1)
+    norms = _inf_norms(ms)
     squarings = np.zeros(count, dtype=int)
     for i, norm in enumerate(norms):
         if norm > 0:
             squarings[i] = max(0, int(math.ceil(math.log2(norm))) + 1)
-    scaled = ms / (2.0 ** squarings)[:, None, None]
-    eye = np.eye(n)
-    result = np.broadcast_to(eye, ms.shape).copy()
-    term = result.copy()
-    result_norm_ub = np.ones(count)
-    # norm == 0 slices are exactly the identity: never active, never added.
-    active = norms > 0
+    order = np.argsort(-squarings, kind="stable")
+    squarings = squarings[order]
+    result = np.broadcast_to(np.eye(n), ms.shape).copy()
+    # Positions (in sorted order) still in the Taylor loop; norm == 0
+    # slices are exactly the identity and never enter it.
+    live = np.flatnonzero(norms[order] > 0)
+    scaled = ms[order[live]] / (2.0 ** squarings[live])[:, None, None]
+    acc = result[live]
+    term = acc.copy()
+    result_norm_ub = np.ones(live.size)
     for k in range(1, 18):
-        if not active.any():
+        if not live.size:
             break
         term = np.matmul(term, scaled)
         term /= k
-        result[active] += term[active]
-        term_norm = np.abs(term).sum(axis=2).max(axis=1)
-        result_norm_ub[active] += term_norm[active]
-        result_norm = np.abs(result).sum(axis=2).max(axis=1)
-        converged = (term_norm < 1e-16 * result_norm_ub) & (
-            term_norm < 1e-16 * result_norm
+        acc += term
+        term_norm = _inf_norms(term)
+        result_norm_ub += term_norm
+        maybe = np.flatnonzero(term_norm < 1e-16 * result_norm_ub)
+        if not maybe.size:
+            continue
+        done = maybe[term_norm[maybe] < 1e-16 * _inf_norms(acc[maybe])]
+        if not done.size:
+            continue
+        result[live[done]] = acc[done]
+        keep = np.ones(live.size, dtype=bool)
+        keep[done] = False
+        live, acc, term, scaled, result_norm_ub = (
+            live[keep], acc[keep], term[keep], scaled[keep],
+            result_norm_ub[keep],
         )
-        active &= ~converged
-    max_squarings = int(squarings.max())
-    for step in range(max_squarings):
-        needs = squarings > step
-        sub = result[needs]
-        result[needs] = np.matmul(sub, sub)
-    return result
+    result[live] = acc
+    for step in range(int(squarings[0])):
+        head = result[:np.count_nonzero(squarings > step)]
+        head[...] = np.matmul(head, head)
+    out = np.empty_like(result)
+    out[order] = result
+    return out
+
+
+def _inf_norms(ms: np.ndarray) -> np.ndarray:
+    """Per-slice infinity norm of a stack: max absolute row sum, the same
+    reduction ``np.linalg.norm(m, ord=inf)`` performs on one slice."""
+    return np.abs(ms).sum(axis=2).max(axis=1)
 
 
 class GridResult(NamedTuple):

@@ -16,9 +16,10 @@ Installed as ``repro-partial-faults``::
 
 ``--jobs N`` fans the sweep experiments (fig3, fig4, table1, march) out
 over N worker processes; the output is identical for any N (see
-``docs/PERFORMANCE.md``).  The default (1) runs serially.  The other
-experiments have no parallel fan-out; passing ``--jobs`` with them
-prints a one-line notice and runs serially.
+``docs/PERFORMANCE.md``).  table1 defaults to one worker per usable
+core, at most one per open; fig3, fig4 and march default to 1 (serial).
+The other experiments have no parallel fan-out; passing ``--jobs`` with
+them prints a one-line notice and runs serially.
 
 Resilience flags (any of them enables the recovery layer of
 ``docs/ROBUSTNESS.md`` for the fanned experiments)::
@@ -130,17 +131,20 @@ from .parallel import Resilience, RetryPolicy, drain_resilience_log
 from .telemetry import events as event_log
 from .telemetry import profiled
 
-#: Experiment runners; each takes the ``--jobs`` worker count, the
-#: resilience configuration, the guard options and the grid-engine
-#: switch (the experiments without a parallel fan-out / solver surface
-#: simply ignore them) and returns the experiment's result object
-#: (``.report`` carries the rendered output).
-_EXPERIMENTS: Dict[str, Callable[[int, object, object, bool, bool], object]] = {
+#: Experiment runners; each takes the ``--jobs`` worker count (``None``
+#: when not given: each experiment's own default), the resilience
+#: configuration, the guard options and the grid-engine switch (the
+#: experiments without a parallel fan-out / solver surface simply ignore
+#: them) and returns the experiment's result object (``.report`` carries
+#: the rendered output).
+_EXPERIMENTS: Dict[
+    str, Callable[[Optional[int], object, object, bool, bool], object]
+] = {
     "fig3": lambda jobs, res, gp, mg, ge: fig3.run_fig3(
-        jobs=jobs, resilience=res, guard_policy=gp, grid_engine=ge
+        jobs=jobs or 1, resilience=res, guard_policy=gp, grid_engine=ge
     ),
     "fig4": lambda jobs, res, gp, mg, ge: fig4.run_fig4(
-        jobs=jobs, resilience=res, guard_policy=gp, grid_engine=ge
+        jobs=jobs or 1, resilience=res, guard_policy=gp, grid_engine=ge
     ),
     "table1": lambda jobs, res, gp, mg, ge: table1.run_table1(
         jobs=jobs, resilience=res, guard_policy=gp, check_marginal=mg,
@@ -148,7 +152,7 @@ _EXPERIMENTS: Dict[str, Callable[[int, object, object, bool, bool], object]] = {
     ),
     "fp-space": lambda jobs, res, gp, mg, ge: fp_space.run_fp_space(),
     "march": lambda jobs, res, gp, mg, ge: march_pf.run_march_pf(
-        jobs=jobs, resilience=res, guard_policy=gp
+        jobs=jobs or 1, resilience=res, guard_policy=gp
     ),
     "ablation": lambda jobs, res, gp, mg, ge: ablation.run_ablation(),
     "bridges": lambda jobs, res, gp, mg, ge: bridges.run_bridges(),
@@ -935,12 +939,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=None,
         metavar="N",
         help="worker processes for the sweep experiments fig3/fig4/"
-        "table1/march (default 1: serial, byte-identical to the "
-        "pre-parallel output); the other experiments run serially and "
-        "print a notice",
+        "table1/march; the output is identical for any N (default: "
+        "table1 one per usable core, at most one per open; fig3/fig4/"
+        "march 1); the other experiments run serially and print a "
+        "notice",
     )
     parser.add_argument(
         "--checkpoint",
@@ -999,7 +1004,7 @@ def main(argv=None) -> int:
         "docs/PERFORMANCE.md)",
     )
     args = parser.parse_args(argv)
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.max_retries is not None and args.max_retries < 0:
         parser.error("--max-retries must be >= 0")
@@ -1057,7 +1062,7 @@ def main(argv=None) -> int:
 
     def run_experiments() -> None:
         for name in names:
-            if args.jobs > 1 and name not in _FANNED:
+            if (args.jobs or 1) > 1 and name not in _FANNED:
                 print(
                     f"[note] {name} has no parallel fan-out; --jobs "
                     f"{args.jobs} is ignored and it runs serially "

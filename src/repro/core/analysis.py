@@ -483,6 +483,19 @@ class ColumnFaultAnalyzer:
             plans.append(tuple(nodes))
         return tuple(plans)
 
+    def survey_cost(self) -> int:
+        """Relative cost of a full :meth:`survey`, for scheduling.
+
+        The members each tile stacks, summed over the sweep plans: one
+        per ``R_def`` on the grid engine, one per ``(R_def, U)`` point
+        on a word-line open (:meth:`_wordline_grid`) or on the scalar
+        oracle.
+        """
+        members = len(self.grid.r_values)
+        if self._wordline_grid() or not self.grid_engine:
+            members *= len(self.grid.u_values)
+        return members * len(self.sweep_plans())
+
     # -- single-point execution ---------------------------------------------------
 
     def _preset_data(self, sos: SOS, init_via_write: bool) -> Dict[int, int]:
@@ -553,19 +566,19 @@ class ColumnFaultAnalyzer:
         read_value = last_victim_read if sos.ends_in_read else None
         return faulty_value, read_value
 
-    def _wordline_grid(self, floating: Tuple[FloatingNode, ...]) -> bool:
-        """Whether this sweep needs per-point word-line gate tracking.
+    def _wordline_grid(self) -> bool:
+        """Whether this open's sweeps need per-point word-line gates.
 
         Word-line opens put the defect resistance inside the nonlinear
         gate dynamics, and the swept ``U`` initializes the gate itself:
         every ``(R_def, U)`` point has its own gate trajectory.  The grid
         engine then makes each point a width-1 ensemble member carrying
         its own gate voltage instead of stacking one member per ``R_def``.
+        On any other open the gate has no resistance behind it and
+        follows its driver in the first phase, floating or not, exactly
+        as in the scalar column.
         """
-        return (
-            self.location is OpenLocation.WORD_LINE
-            or FloatingNode.WORD_LINE in floating
-        )
+        return self.location is OpenLocation.WORD_LINE
 
     def _execute_grid(
         self, sos: SOS, r_values: Sequence[float],
@@ -597,7 +610,7 @@ class ColumnFaultAnalyzer:
         telemetry.count("analyzer.grid_tiles")
         init_via_write = FloatingNode.CELL in floating
         data = self._preset_data(sos, init_via_write)
-        wl_grid = self._wordline_grid(floating)
+        wl_grid = self._wordline_grid()
         # The state-mutating step list: victim init writes (when the cell
         # itself floats), then the operations; an empty sequence still
         # runs one precharge cycle like the scalar column does.

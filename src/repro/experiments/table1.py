@@ -23,11 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..circuit.defects import OpenLocation
 from ..circuit.network import GuardPolicy
 from ..circuit.technology import Technology
-from ..core.analysis import (
-    ColumnFaultAnalyzer,
-    QuarantinedPoint,
-    default_grid_for,
-)
+from ..core.analysis import QuarantinedPoint, default_grid_for
 from ..core.completion import complete_fault
 from ..core.fault_primitives import FaultPrimitive
 from ..core.ffm import FFM
@@ -127,22 +123,61 @@ class Table1Result:
     quarantined: List[QuarantinedPoint] = field(default_factory=list)
 
 
-def _completion_unit(payload) -> Optional[FaultPrimitive]:
-    """Search completing operations for one finding (worker side).
+def _analyze_open(
+    payload,
+) -> Tuple[List[InventoryRow], List[QuarantinedPoint]]:
+    """Table 1's work unit: the whole analysis of one open.
 
-    The completion search is a pure function of the analyzer
-    configuration and the finding, so a cold-cache worker reproduces the
-    serial result exactly.
+    One analyzer sweeps every floating-voltage plan, keeps the first
+    partial finding of each ``(ffm, plan)``, searches its completion and,
+    with ``check_marginal``, counts its marginal boundary points.
+    Returns the open's inventory rows and the grid points its guards
+    quarantined.  The unit is a pure function of its payload, so a
+    worker process reproduces the in-process result exactly.
     """
-    spec, finding, max_extra_ops = payload
+    spec, max_extra_ops, check_marginal = payload
     analyzer = spec.build()
-    outcome = complete_fault(
-        analyzer,
-        finding,
-        max_extra_ops=max_extra_ops,
-        grid=analyzer.grid.coarser(2, 2),
+    rows: List[InventoryRow] = []
+    seen: set = set()
+    for plan in analyzer.sweep_plans():
+        for finding in analyzer.survey(plan):
+            if not finding.is_partial:
+                continue
+            key = (finding.ffm, plan)
+            if key in seen:
+                continue
+            seen.add(key)
+            outcome = complete_fault(
+                analyzer,
+                finding,
+                max_extra_ops=max_extra_ops,
+                grid=analyzer.grid.coarser(2, 2),
+            )
+            marginal = (
+                len(analyzer.marginal_points(
+                    finding.probe_sos, plan, finding.region
+                ))
+                if check_marginal else None
+            )
+            rows.append(
+                InventoryRow(
+                    ffm_sim=finding.ffm,
+                    ffm_com=finding.ffm.complement(),
+                    open_number=spec.location.number,
+                    completed=outcome.completed_fp,
+                    floating=finding.floating_label,
+                    marginal=marginal,
+                )
+            )
+    return rows, analyzer.quarantined
+
+
+def _open_key(spec, max_extra_ops: int, check_marginal: bool) -> str:
+    """Stable checkpoint key for one open's unit."""
+    return (
+        f"table1|{spec.location.name}|grid={spec.grid.signature()}"
+        f"|ops={max_extra_ops}|marginal={int(check_marginal)}"
     )
-    return outcome.completed_fp
 
 
 @instrumented("table1")
@@ -152,7 +187,7 @@ def run_table1(
     n_r: int = 16,
     n_u: int = 12,
     max_extra_ops: int = 3,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     grid_engine: bool = True,
     resilience=None,
     guard_policy: Optional[GuardPolicy] = None,
@@ -160,19 +195,25 @@ def run_table1(
 ) -> Table1Result:
     """Regenerate Table 1 by full defect-injection analysis.
 
-    ``jobs`` fans the ``(location, plan, probe)`` surveys and the
-    completion searches out over worker processes; the inventory is
-    identical for any value (``jobs=1``, the default, runs the original
-    in-process loop).  ``grid_engine=False`` disables the stacked
-    ``(R_def, U)`` tile solver and runs every SOS per point through the
-    scalar oracle (kept for benchmarks and ablations) — the inventory is
-    identical either way.
+    Each open is one work unit (:func:`_analyze_open`): its surveys,
+    completion searches and marginal checks on one analyzer.  ``jobs``
+    forked worker processes run the units, the costliest open first;
+    ``jobs=1`` runs them in-process.  The default is one worker per
+    usable core, at most one per open, and in-process where forking is
+    not safe (:func:`repro.parallel.default_jobs`).  Rows, quarantined
+    points and telemetry are assembled in location order, so the result
+    is identical for any ``jobs``.
+    ``grid_engine=False`` disables the stacked ``(R_def, U)`` tile
+    solver and runs every SOS per point through the scalar oracle (kept
+    for benchmarks and ablations) — the inventory is identical either
+    way.
 
     ``resilience`` (a :class:`repro.parallel.Resilience`) turns on unit
     retry/timeout/fallback recovery and, with a checkpoint store,
-    incremental persistence and resume of finished units (see
-    ``docs/ROBUSTNESS.md``); it routes ``jobs=1`` through the same unit
-    decomposition, which by unit purity yields the identical inventory.
+    persists each finished open and resumes from them (see
+    ``docs/ROBUSTNESS.md``).  An open that fails every recovery attempt
+    is reported as a :class:`~repro.parallel.UnitFailure` and
+    contributes no rows.
 
     ``guard_policy`` selects what a solver guard trip does at each grid
     point (``GuardPolicy.QUARANTINE`` records the point on
@@ -181,183 +222,46 @@ def run_table1(
     the flip count per inventory row.  Both default off, leaving the
     default run's output untouched.
     """
+    from ..parallel import AnalyzerSpec, default_jobs, parallel_map_ex
+
     locations = tuple(opens) if opens is not None else tuple(OpenLocation)
-    if jobs > 1 or resilience is not None:
-        return _run_table1_parallel(
-            locations, technology, n_r, n_u, max_extra_ops, jobs,
-            grid_engine, resilience, guard_policy, check_marginal,
-        )
-    rows: List[InventoryRow] = []
-    quarantined: List[QuarantinedPoint] = []
-    for location in locations:
-        analyzer = ColumnFaultAnalyzer(
+    specs = [
+        AnalyzerSpec(
             location,
             technology=technology,
             grid=default_grid_for(location, n_r=n_r, n_u=n_u),
             grid_engine=grid_engine,
             guard_policy=guard_policy,
-        )
-        seen: set = set()
-        for plan in analyzer.sweep_plans():
-            for finding in analyzer.survey(plan):
-                if not finding.is_partial:
-                    continue
-                key = (finding.ffm, plan)
-                if key in seen:
-                    continue
-                seen.add(key)
-                outcome = complete_fault(
-                    analyzer,
-                    finding,
-                    max_extra_ops=max_extra_ops,
-                    grid=analyzer.grid.coarser(2, 2),
-                )
-                marginal = (
-                    len(analyzer.marginal_points(
-                        finding.probe_sos, plan, finding.region
-                    ))
-                    if check_marginal else None
-                )
-                rows.append(
-                    InventoryRow(
-                        ffm_sim=finding.ffm,
-                        ffm_com=finding.ffm.complement(),
-                        open_number=location.number,
-                        completed=outcome.completed_fp,
-                        floating=finding.floating_label,
-                        marginal=marginal,
-                    )
-                )
-        quarantined.extend(analyzer.quarantined)
+        ).validate()
+        for location in locations
+    ]
+    if jobs is None:
+        jobs = default_jobs(len(specs))
+    outcome = parallel_map_ex(
+        _analyze_open,
+        [(spec, max_extra_ops, check_marginal) for spec in specs],
+        jobs=jobs,
+        policy=resilience.policy if resilience is not None else None,
+        checkpoint=resilience.checkpoint if resilience is not None else None,
+        keys=[
+            _open_key(spec, max_extra_ops, check_marginal) for spec in specs
+        ],
+        codec="table1-open",
+        strict=resilience is None,
+        costs=[spec.build().survey_cost() for spec in specs],
+    )
+    rows: List[InventoryRow] = []
+    quarantined: List[QuarantinedPoint] = []
+    for result in outcome.results:
+        if result is None:
+            continue  # failed unit, surfaced in outcome.failures
+        rows.extend(result[0])
+        quarantined.extend(result[1])
     report, matches = _compare(
         rows, locations, quarantined=quarantined,
         check_marginal=check_marginal,
     )
     return Table1Result(rows, report, matches, quarantined=quarantined)
-
-
-def _completion_unit_key(
-    location: OpenLocation, finding, grid, max_extra_ops: int
-) -> str:
-    """Stable checkpoint key for one completion-search unit."""
-    plan = "+".join(node.name for node in finding.floating)
-    return (
-        f"completion|{location.name}|{finding.ffm.name}|{plan}"
-        f"|{finding.probe_sos.to_string()}|grid={grid.signature()}"
-        f"|ops={max_extra_ops}"
-    )
-
-
-def _run_table1_parallel(
-    locations: Tuple[OpenLocation, ...],
-    technology: Optional[Technology],
-    n_r: int,
-    n_u: int,
-    max_extra_ops: int,
-    jobs: int,
-    grid_engine: bool = True,
-    resilience=None,
-    guard_policy: Optional[GuardPolicy] = None,
-    check_marginal: bool = False,
-) -> Table1Result:
-    """The fan-out twin of :func:`run_table1`'s serial loop.
-
-    Stage 1 surveys every ``(location, plan, probe)`` unit; the findings
-    come back in the serial nested-loop order, so the ``(ffm, plan)``
-    deduplication selects the same representatives.  Stage 2 fans the
-    completion searches out per kept finding.  Both stages are pure per
-    unit, so the assembled inventory matches ``jobs=1`` exactly.
-
-    With ``resilience``, both stages retry/fall back per the policy and
-    checkpoint finished units; a completion unit that fails anyway is
-    reported as a :class:`~repro.parallel.UnitFailure` and its row keeps
-    ``completed=None`` (rendered like ``Not possible`` — check the
-    failure summary before reading such a row as a verdict).
-    """
-    from ..parallel import AnalyzerSpec, parallel_map_ex, survey_locations
-
-    outcome = survey_locations(
-        locations, jobs=jobs, technology=technology, n_r=n_r, n_u=n_u,
-        grid_engine=grid_engine, resilience=resilience,
-        guard_policy=guard_policy,
-    )
-    kept: List = []
-    for location in locations:
-        seen: set = set()
-        for finding in outcome.findings[location]:
-            if not finding.is_partial:
-                continue
-            key = (finding.ffm, finding.floating)
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append((location, finding))
-    payloads = [
-        (
-            AnalyzerSpec(
-                location,
-                technology=technology,
-                grid=default_grid_for(location, n_r=n_r, n_u=n_u),
-                grid_engine=grid_engine,
-                guard_policy=guard_policy,
-            ),
-            finding,
-            max_extra_ops,
-        )
-        for location, finding in kept
-    ]
-    completed = parallel_map_ex(
-        _completion_unit,
-        payloads,
-        jobs=jobs,
-        policy=resilience.policy if resilience is not None else None,
-        checkpoint=resilience.checkpoint if resilience is not None else None,
-        keys=[
-            _completion_unit_key(location, finding, spec.grid, max_extra_ops)
-            for (spec, finding, _ops), (location, _) in zip(payloads, kept)
-        ],
-        codec="completion",
-        strict=resilience is None,
-    ).results
-    marginal_counts: List[Optional[int]] = [None] * len(kept)
-    if check_marginal:
-        # The marginal check re-observes boundary points serially; one
-        # analyzer per location shares its observation cache across that
-        # location's findings (same counts as the jobs=1 path).
-        analyzers: Dict[OpenLocation, ColumnFaultAnalyzer] = {}
-        for index, (location, finding) in enumerate(kept):
-            analyzer = analyzers.get(location)
-            if analyzer is None:
-                analyzer = ColumnFaultAnalyzer(
-                    location,
-                    technology=technology,
-                    grid=default_grid_for(location, n_r=n_r, n_u=n_u),
-                    grid_engine=grid_engine,
-                    guard_policy=guard_policy,
-                )
-                analyzers[location] = analyzer
-            marginal_counts[index] = len(analyzer.marginal_points(
-                finding.probe_sos, finding.floating, finding.region
-            ))
-    rows = [
-        InventoryRow(
-            ffm_sim=finding.ffm,
-            ffm_com=finding.ffm.complement(),
-            open_number=location.number,
-            completed=completed_fp,
-            floating=finding.floating_label,
-            marginal=marginal,
-        )
-        for (location, finding), completed_fp, marginal
-        in zip(kept, completed, marginal_counts)
-    ]
-    report, matches = _compare(
-        rows, locations, quarantined=outcome.quarantined,
-        check_marginal=check_marginal,
-    )
-    return Table1Result(
-        rows, report, matches, quarantined=list(outcome.quarantined)
-    )
 
 
 def _compare(

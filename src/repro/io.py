@@ -14,7 +14,9 @@ plain JSON-compatible structures:
   so the dictionary is built once and loaded afterwards;
 * :class:`~repro.core.analysis.PartialFaultFinding` — location, floating
   plan, probe SOS, FFM and the full region map, so survey work units can
-  be checkpointed and resumed (see :class:`CheckpointStore`).
+  be checkpointed and resumed (see :class:`CheckpointStore`);
+* one open's Table 1 inventory rows and quarantined points, the result
+  of Table 1's per-open work unit.
 
 Every ``dump_*`` returns JSON-serializable data; ``dumps_*``/``loads_*``
 go straight to strings.  Version tags guard against silent format drift.
@@ -50,7 +52,7 @@ __all__ = [
     "dump_finding", "load_finding",
     "dump_quarantined_point", "load_quarantined_point",
     "dump_survey_unit", "load_survey_unit",
-    "dump_completion", "load_completion",
+    "dump_open_inventory", "load_open_inventory",
     "CHECKPOINT_CODECS", "CheckpointStore", "JsonlAppender",
 ]
 
@@ -287,14 +289,52 @@ def load_survey_unit(data: Dict[str, Any]):
     )
 
 
-def dump_completion(fp: Optional[FaultPrimitive]) -> Dict[str, Any]:
-    """A completion-search verdict (``None`` encodes ``Not possible``)."""
-    return _tagged({"fp": None if fp is None else dump_fp(fp)}, "completion")
+def dump_open_inventory(result) -> Dict[str, Any]:
+    """One open's Table 1 unit result: its inventory rows and the grid
+    points its guards quarantined (``(rows, quarantined)``)."""
+    rows, quarantined = result
+    return _tagged(
+        {
+            "rows": [
+                {
+                    "ffm_sim": row.ffm_sim.name,
+                    "ffm_com": row.ffm_com.name,
+                    "open": row.open_number,
+                    "completed": (
+                        None if row.completed is None
+                        else dump_fp(row.completed)
+                    ),
+                    "floating": row.floating,
+                    "marginal": row.marginal,
+                }
+                for row in rows
+            ],
+            "quarantined": [dump_quarantined_point(q) for q in quarantined],
+        },
+        "table1-open",
+    )
 
 
-def load_completion(data: Dict[str, Any]) -> Optional[FaultPrimitive]:
-    data = _check(data, "completion")
-    return None if data["fp"] is None else load_fp(data["fp"])
+def load_open_inventory(data: Dict[str, Any]):
+    # Imported here: the experiments sit above this module.
+    from .experiments.table1 import InventoryRow
+
+    data = _check(data, "table1-open")
+    rows = [
+        InventoryRow(
+            ffm_sim=FFM[row["ffm_sim"]],
+            ffm_com=FFM[row["ffm_com"]],
+            open_number=row["open"],
+            completed=(
+                None if row["completed"] is None
+                else load_fp(row["completed"])
+            ),
+            floating=row["floating"],
+            marginal=row["marginal"],
+        )
+        for row in data["rows"]
+    ]
+    return rows, [load_quarantined_point(q) for q in data["quarantined"]]
 
 
 def _identity(value: Any) -> Any:
@@ -309,7 +349,7 @@ CHECKPOINT_CODECS: Dict[
     "json": (_identity, _identity),
     "region-map": (dump_region_map, load_region_map),
     "survey-unit": (dump_survey_unit, load_survey_unit),
-    "completion": (dump_completion, load_completion),
+    "table1-open": (dump_open_inventory, load_open_inventory),
 }
 
 

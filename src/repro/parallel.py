@@ -1,20 +1,23 @@
 """Process-parallel survey orchestration for the sweep experiments.
 
-The experiments fan out along natural unit boundaries — one
-``(location, plan, probe)`` survey per unit for Table 1, one region map
-per unit for Figs. 3/4, one ``(test, defect point)`` per unit for the
-march cross-validation — and every unit is a *pure function* of its
-pickled payload: a worker rebuilds its analyzer from an
+The experiments fan out along natural unit boundaries — one open per
+unit for Table 1 (its surveys, completion searches and marginal
+checks, on one analyzer), one region map per unit for Figs. 3/4, one
+``(test, defect point)`` per unit for the march cross-validation;
+:func:`survey_locations` offers finer ``(location, plan, probe)``
+survey units to library callers — and every unit is a *pure function*
+of its pickled payload: a worker rebuilds its analyzer from an
 :class:`AnalyzerSpec`, runs, and returns plain result objects.  That
 purity is what makes ``--jobs N`` deterministic: the result of a unit
 does not depend on which worker ran it, how warm that worker's
 propagator cache was, or in what order units completed; the parent
-always merges results in submission order.
+always merges results in payload order.  Workers fork
+(:func:`default_jobs` gives the worker count of a run without an
+explicit one).
 
 ``jobs=1`` never touches a process pool: :func:`parallel_map` degrades
-to an in-process loop and the experiment modules keep their original
-serial code paths, so no-flag output stays byte-identical to the
-pre-parallel implementation.
+to an in-process loop over the same units, so the output is
+byte-identical for any worker count.
 
 Purity is also what makes the fan-out *resilient* (see
 ``docs/ROBUSTNESS.md``): a unit that crashed, timed out, or died with
@@ -67,6 +70,8 @@ thread-local read.  The same milestones go to the structured event log
 from __future__ import annotations
 
 import heapq
+import multiprocessing
+import os
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -78,6 +83,7 @@ from typing import (
 
 from . import telemetry
 from .telemetry import events
+from .circuit import network as circuit_network
 from .circuit.defects import FloatingNode, OpenLocation
 from .circuit.network import GuardPolicy, propagator_cache_info
 from .circuit.technology import Technology
@@ -98,6 +104,7 @@ __all__ = [
     "UnitFailure",
     "MapOutcome",
     "ResilienceLog",
+    "default_jobs",
     "drain_resilience_log",
     "parallel_map",
     "parallel_map_ex",
@@ -446,6 +453,41 @@ class SurveyOutcome:
 
 # -- the generic fan-out -------------------------------------------------------
 
+def _fork_context():
+    """The ``fork`` start context, or ``None`` where workers cannot fork:
+    no fork start method, or this process is itself a daemonic worker
+    (which may not have children)."""
+    if multiprocessing.current_process().daemon:
+        return None
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+
+
+def default_jobs(n_units: int) -> int:
+    """Worker count of a fan-out run without an explicit ``jobs``.
+
+    One worker per usable core, at most one per unit.  Runs stay
+    in-process where workers cannot fork, or cannot fork safely because
+    other threads are running (a forked child inherits their locks in
+    whatever state they are), and while a solver fault hook
+    (:mod:`repro.inject`) is installed: the hook counts its solves and
+    fires in its own process, so workers would each count their own.
+    """
+    if (
+        _fork_context() is None
+        or threading.active_count() > 1
+        or circuit_network._FAULT_HOOK is not None
+    ):
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover — no affinity API
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, n_units))
+
+
 def _run_unit(func: Callable[[Any], Any], payload: Any,
               telemetry_on: bool) -> Tuple[Any, Optional[dict], Optional[dict]]:
     """Worker-side wrapper: run one unit, capture its telemetry state.
@@ -610,7 +652,9 @@ def _run_pool(run: _FanoutRun, pending: List[int], jobs: int) -> None:
     broken_indices: List[int] = []
     broken = False
     timed_out = False
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
+    pool = ProcessPoolExecutor(
+        max_workers=min(jobs, len(pending)), mp_context=_fork_context()
+    )
 
     def submit(index: int) -> bool:
         """Submit one unit; on a broken pool, queue it for recovery."""
@@ -754,6 +798,7 @@ def parallel_map_ex(
     keys: Optional[Sequence[str]] = None,
     codec: str = "json",
     strict: bool = False,
+    costs: Optional[Sequence[float]] = None,
 ) -> MapOutcome:
     """Map ``func`` over ``payloads`` with recovery and checkpointing.
 
@@ -761,6 +806,11 @@ def parallel_map_ex(
     module-level callable and every payload/result must pickle; with
     ``jobs <= 1`` units run in-process (retry and fallback still apply;
     ``unit_timeout`` does not — nothing can interrupt the parent).
+    Pooled workers fork (where the platform can).  ``costs`` estimates
+    each unit's run time: a pool takes the costliest unit first, so the
+    longest unit does not start last.  In-process runs keep payload
+    order, and results and telemetry come back in payload order either
+    way.
 
     ``checkpoint`` requires ``keys``: one stable, unique identifier per
     payload.  Units whose key the store already holds are *resumed* —
@@ -826,6 +876,8 @@ def parallel_map_ex(
     pending = [index for index in range(n) if not done[index]]
     if not pending:
         return finish()
+    if costs is not None and jobs > 1:
+        pending.sort(key=lambda index: -costs[index])
     run = _FanoutRun(
         func, payloads, policy, checkpoint, keys, codec, outcome, strict
     )

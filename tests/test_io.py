@@ -13,18 +13,18 @@ from repro.core.regions import FPRegionMap
 from repro.io import (
     CHECKPOINT_CODECS,
     CheckpointStore,
-    dump_completion,
     dump_finding,
     dump_fp,
     dump_march,
+    dump_open_inventory,
     dump_region_map,
     dump_signature_database,
     dump_survey_unit,
     dumps_march,
-    load_completion,
     load_finding,
     load_fp,
     load_march,
+    load_open_inventory,
     load_region_map,
     load_signature_database,
     load_survey_unit,
@@ -191,15 +191,27 @@ class TestCheckpointCodecs:
         assert recovered.labels[0][1] is QUARANTINED
         assert recovered == region
 
-    def test_completion_roundtrip(self):
-        fp = parse_fp("<[w1 w0] r0/1/1>")
-        assert load_completion(dump_completion(fp)) == fp
-        assert load_completion(dump_completion(None)) is None
+    def test_table1_open_roundtrip(self):
+        from repro.experiments.table1 import InventoryRow
+
+        rows = [
+            InventoryRow(
+                FFM.RDF0, FFM.RDF1, 1, parse_fp("<[w1 w0] r0/1/1>"),
+                "Memory cell", marginal=2,
+            ),
+            InventoryRow(FFM.SF0, FFM.SF1, 1, None, "Memory cell"),
+        ]
+        point = self._quarantined_point()
+        data = json.loads(json.dumps(dump_open_inventory((rows, [point]))))
+        recovered_rows, quarantined = load_open_inventory(data)
+        assert recovered_rows == rows
+        assert recovered_rows[1].completed_text == "Not possible"
+        assert quarantined == [point]
 
     def test_codec_table_is_consistent(self):
         for name, (dump, load) in CHECKPOINT_CODECS.items():
             assert callable(dump) and callable(load), name
-        assert {"json", "region-map", "survey-unit", "completion"} <= set(
+        assert {"json", "region-map", "survey-unit", "table1-open"} <= set(
             CHECKPOINT_CODECS
         )
 
