@@ -63,7 +63,7 @@ _GRID_COUNTERS = (
 def _timed(**kwargs):
     """Time one configuration; cache stats come from the telemetry
     counters (the bench session enables telemetry), which
-    :func:`repro.parallel.parallel_map` also merges back from worker
+    :func:`repro.parallel.parallel_map_ex` also merges back from worker
     processes — so the numbers are correct for any ``jobs``."""
     propagator_cache_clear()
     before = {

@@ -103,7 +103,7 @@ from .memory.word_memory import (
     standard_backgrounds,
 )
 from .memory.simulator import ElectricalMemory, FaultyMemory
-from .parallel import AnalyzerSpec, parallel_map, survey_locations
+from .parallel import AnalyzerSpec
 
 from . import telemetry
 
@@ -137,8 +137,6 @@ __all__ = [
     "decompile",
     "detects_coupling",
     "AnalyzerSpec",
-    "parallel_map",
-    "survey_locations",
     "ColumnFaultAnalyzer",
     "CompletionOutcome",
     "CoverageMatrix",

@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 
+#: The experiment every corner runs.
+_EXPERIMENT = "table1"
+
+
 class CampaignError(ReproError):
     """One or more corner jobs failed after every recovery attempt."""
 
@@ -64,13 +68,12 @@ class CampaignConfig:
     """Everything :func:`run_matrix_campaign` needs.
 
     ``jobs`` is the fan-out *inside* each corner's sweep;
-    ``corner_jobs`` bounds how many corners run concurrently.  Only
-    ``table1`` campaigns are supported: the cross-corner analysis needs
-    the inventory rows that only the Table 1 payload carries.
+    ``corner_jobs`` bounds how many corners run concurrently.  Every
+    corner runs Table 1: the cross-corner analysis needs the inventory
+    rows that only the Table 1 payload carries.
     """
 
     matrix: CornerMatrix
-    experiment: str = "table1"
     opens: Optional[Tuple[str, ...]] = None
     n_r: Optional[int] = None
     n_u: Optional[int] = None
@@ -92,12 +95,6 @@ class CampaignConfig:
     retry_policy: Optional[RetryPolicy] = None
 
     def validate(self) -> "CampaignConfig":
-        if self.experiment != "table1":
-            raise SpecValidationError(
-                "CampaignConfig", "experiment", self.experiment,
-                "'table1' (the cross-corner analysis needs the "
-                "inventory rows of the Table 1 payload)",
-            )
         if self.corner_jobs < 1:
             raise SpecValidationError(
                 "CampaignConfig", "corner_jobs", self.corner_jobs,
@@ -116,7 +113,7 @@ class CampaignConfig:
     def base_spec(self) -> JobSpec:
         """The corner-independent (nominal) job spec."""
         return JobSpec(
-            experiment=self.experiment,
+            experiment=_EXPERIMENT,
             opens=self.opens,
             n_r=self.n_r,
             n_u=self.n_u,
@@ -148,9 +145,10 @@ def _checkpoint_key(spec: JobSpec) -> str:
 
 
 def _unit_store_path(work_dir: str, spec: JobSpec) -> str:
-    # One unit-checkpoint file per content address: survey_unit_key
-    # does not embed the technology, so two corners sharing one file
-    # would collide on identical (location, grid) unit keys.
+    # One unit-checkpoint file per content address: the per-open unit
+    # key (table1._open_key) does not embed the technology, so two
+    # corners sharing one file would collide on identical
+    # (location, grid) unit keys.
     return os.path.join(work_dir, f"units-{spec.address[:24]}.jsonl")
 
 
@@ -217,7 +215,7 @@ def run_matrix_campaign(config: CampaignConfig) -> CampaignResult:
     telemetry.count("campaign.corners", len(pairs))
     events.emit(
         "campaign.started",
-        experiment=config.experiment,
+        experiment=_EXPERIMENT,
         corners=len(pairs),
         mode=mode,
     )
@@ -282,7 +280,7 @@ def run_matrix_campaign(config: CampaignConfig) -> CampaignResult:
 
         with telemetry.span(
             "campaign.run",
-            experiment=config.experiment,
+            experiment=_EXPERIMENT,
             corners=len(pairs),
             mode=mode,
         ) as span:
@@ -331,7 +329,7 @@ def run_matrix_campaign(config: CampaignConfig) -> CampaignResult:
             store.close()
     artifact = build_artifact(
         entries,
-        experiment=config.experiment,
+        experiment=_EXPERIMENT,
         march_test=config.march_test,
         code=config.code,
     )

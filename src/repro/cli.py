@@ -14,29 +14,27 @@ Installed as ``repro-partial-faults``::
     repro-partial-faults diagnosis     # fault-dictionary diagnosis
     repro-partial-faults all           # everything
 
-``--jobs N`` fans the sweep experiments (fig3, fig4, table1, march) out
-over N worker processes; the output is identical for any N (see
-``docs/PERFORMANCE.md``).  table1 defaults to one worker per usable
-core, at most one per open; fig3, fig4 and march default to 1 (serial).
-The other experiments have no parallel fan-out; passing ``--jobs`` with
-them prints a one-line notice and runs serially.
+``--jobs N`` fans table1 out over N worker processes, one open per
+unit; the output is identical for any N (see ``docs/PERFORMANCE.md``).
+It defaults to one worker per usable core, at most one per open.  The
+other experiments run in process; passing ``--jobs`` or a resilience
+flag with them prints a one-line notice.
 
 Resilience flags (any of them enables the recovery layer of
-``docs/ROBUSTNESS.md`` for the fanned experiments)::
+``docs/ROBUSTNESS.md`` for table1)::
 
-    --checkpoint FILE    append completed sweep units to FILE (JSONL) as
-                         they finish, so an interrupted run can resume
-    --resume FILE        skip units already recorded in FILE (implies
-                         checkpointing new units to the same FILE)
+    --checkpoint FILE    append completed opens to FILE (JSONL) as they
+                         finish, so an interrupted run can resume
+    --resume FILE        skip opens already recorded in FILE (implies
+                         checkpointing new opens to the same FILE)
     --max-retries N      retry a crashed/timed-out unit N times before
                          falling back in-process (default 1)
     --unit-timeout SEC   cancel a unit still running after SEC seconds
                          and retry it
 
 With a resilience flag set, a ``[resilience]`` summary (retries,
-fallbacks, resumed and failed units) is printed after each fanned
-experiment.  Without these flags the output is byte-identical to
-earlier releases.
+fallbacks, resumed and failed units) is printed after table1.  Without
+these flags the output is byte-identical to earlier releases.
 
 Guard-rail flags (see ``docs/ROBUSTNESS.md``)::
 
@@ -59,9 +57,10 @@ Service mode (see ``docs/SERVICE.md``)::
                                        # run an experiment through a server
 
 ``serve`` starts the sweep service of :mod:`repro.service`: submitted
-jobs are deduplicated by content address, executed through the parallel
-fan-out with retry/checkpoint resilience, and their results cached in a
-TTL/LRU store, so repeated submissions are served without recomputing.
+jobs are deduplicated by content address, executed (table1 through the
+parallel fan-out with retry/checkpoint resilience), and their results
+cached in a TTL/LRU store, so repeated submissions are served without
+recomputing.
 ``submit`` posts one job (optionally ``--wait``-ing for and printing
 the report, which is byte-identical to the direct CLI run's;
 ``--follow`` additionally renders the job's live progress events on
@@ -132,19 +131,19 @@ from .telemetry import events as event_log
 from .telemetry import profiled
 
 #: Experiment runners; each takes the ``--jobs`` worker count (``None``
-#: when not given: each experiment's own default), the resilience
-#: configuration, the guard options and the grid-engine switch (the
-#: experiments without a parallel fan-out / solver surface simply ignore
-#: them) and returns the experiment's result object (``.report`` carries
-#: the rendered output).
+#: when not given: table1's own default), the resilience configuration,
+#: the guard options and the grid-engine switch (the experiments without
+#: a parallel fan-out / solver surface simply ignore them) and returns
+#: the experiment's result object (``.report`` carries the rendered
+#: output).
 _EXPERIMENTS: Dict[
     str, Callable[[Optional[int], object, object, bool, bool], object]
 ] = {
     "fig3": lambda jobs, res, gp, mg, ge: fig3.run_fig3(
-        jobs=jobs or 1, resilience=res, guard_policy=gp, grid_engine=ge
+        guard_policy=gp, grid_engine=ge
     ),
     "fig4": lambda jobs, res, gp, mg, ge: fig4.run_fig4(
-        jobs=jobs or 1, resilience=res, guard_policy=gp, grid_engine=ge
+        guard_policy=gp, grid_engine=ge
     ),
     "table1": lambda jobs, res, gp, mg, ge: table1.run_table1(
         jobs=jobs, resilience=res, guard_policy=gp, check_marginal=mg,
@@ -152,7 +151,7 @@ _EXPERIMENTS: Dict[
     ),
     "fp-space": lambda jobs, res, gp, mg, ge: fp_space.run_fp_space(),
     "march": lambda jobs, res, gp, mg, ge: march_pf.run_march_pf(
-        jobs=jobs or 1, resilience=res, guard_policy=gp
+        guard_policy=gp
     ),
     "ablation": lambda jobs, res, gp, mg, ge: ablation.run_ablation(),
     "bridges": lambda jobs, res, gp, mg, ge: bridges.run_bridges(),
@@ -167,7 +166,7 @@ _EXPERIMENTS: Dict[
 
 #: Experiments with a worker-process fan-out: ``--jobs`` and the
 #: resilience flags apply to these only.
-_FANNED = frozenset({"fig3", "fig4", "table1", "march"})
+_FANNED = frozenset({"table1"})
 
 #: Experiments whose runners accept ``--guard-policy`` (the rest never
 #: touch the analog solver, or only through these).
@@ -177,7 +176,8 @@ _GUARDED = frozenset({"fig3", "fig4", "table1", "march"})
 #: (``--no-grid-engine`` applies to these): the sweeps stack the
 #: ``(R_def, U)`` grid, escapes and diagnosis stack their defect
 #: populations as lane-stacked march runs.  The ``march`` experiment's
-#: cross-validation still runs one defect point per work unit.
+#: cross-validation runs its defect points one by one on the scalar
+#: solver.
 _GRIDDED = frozenset({"diagnosis", "escapes", "fig3", "fig4", "table1"})
 
 
@@ -304,8 +304,8 @@ def _serve_main(argv) -> int:
     parser.add_argument(
         "--work-dir", metavar="DIR", default=None,
         help="keep per-job unit checkpoints and the job journal under "
-        "DIR so a failed or interrupted job resumes from its completed "
-        "sweep units and a killed service re-enqueues its jobs on "
+        "DIR so a failed or interrupted table1 job resumes from its "
+        "completed opens and a killed service re-enqueues its jobs on "
         "restart",
     )
     parser.add_argument(
@@ -561,8 +561,9 @@ def _submit_main(argv) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes inside the job's fan-out (execution "
-        "hint: does not change the result or the job's address)",
+        help="worker processes inside a table1 job's fan-out "
+        "(execution hint: does not change the result or the job's "
+        "address)",
     )
     parser.add_argument(
         "--priority", type=int, default=0, metavar="P",
@@ -941,25 +942,24 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the sweep experiments fig3/fig4/"
-        "table1/march; the output is identical for any N (default: "
-        "table1 one per usable core, at most one per open; fig3/fig4/"
-        "march 1); the other experiments run serially and print a "
-        "notice",
+        help="worker processes for table1, one open per unit; the "
+        "output is identical for any N (default: one per usable core, "
+        "at most one per open); the other experiments run in process "
+        "and print a notice",
     )
     parser.add_argument(
         "--checkpoint",
         metavar="FILE",
         default=None,
-        help="append completed sweep units to FILE (JSONL) as they "
-        "finish, so an interrupted run can be resumed with --resume",
+        help="append each completed table1 open to FILE (JSONL) as it "
+        "finishes, so an interrupted run can be resumed with --resume",
     )
     parser.add_argument(
         "--resume",
         metavar="FILE",
         default=None,
-        help="skip sweep units already recorded in FILE and checkpoint "
-        "new units to it; the final output is identical to an "
+        help="skip table1 opens already recorded in FILE and "
+        "checkpoint new ones to it; the final output is identical to an "
         "uninterrupted run",
     )
     parser.add_argument(
@@ -967,7 +967,7 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="retry a crashed or timed-out sweep unit up to N times "
+        help="retry a crashed or timed-out table1 unit up to N times "
         "before running it in-process (default 1 when any resilience "
         "flag is set)",
     )
@@ -976,7 +976,7 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="cancel a sweep unit still running after SECONDS and "
+        help="cancel a table1 unit still running after SECONDS and "
         "retry it (default: no timeout)",
     )
     parser.add_argument(
@@ -1023,6 +1023,16 @@ def main(argv=None) -> int:
         or args.max_retries is not None
         or args.unit_timeout is not None
     )
+    # The flags only a fanned experiment reads, as the user gave them.
+    fan_out_flags = [
+        flag for flag, given in (
+            (f"--jobs {args.jobs}", (args.jobs or 1) > 1),
+            ("--checkpoint", args.checkpoint is not None),
+            ("--resume", args.resume is not None),
+            ("--max-retries", args.max_retries is not None),
+            ("--unit-timeout", args.unit_timeout is not None),
+        ) if given
+    ]
     # Fail on unwritable output paths now, not after minutes of
     # simulation — without leaving behind empty files the run never wrote.
     for path in (args.trace, args.metrics_json, args.log_json,
@@ -1062,11 +1072,12 @@ def main(argv=None) -> int:
 
     def run_experiments() -> None:
         for name in names:
-            if (args.jobs or 1) > 1 and name not in _FANNED:
+            if fan_out_flags and name not in _FANNED:
                 print(
-                    f"[note] {name} has no parallel fan-out; --jobs "
-                    f"{args.jobs} is ignored and it runs serially "
-                    "(fanned experiments: "
+                    f"[note] {name} has no parallel fan-out; "
+                    + " and ".join(fan_out_flags)
+                    + (" is" if len(fan_out_flags) == 1 else " are")
+                    + " ignored and it runs serially (fanned experiments: "
                     + ", ".join(sorted(_FANNED)) + ")"
                 )
                 print()

@@ -63,18 +63,12 @@ def run_fig3(
     technology: Optional[Technology] = None,
     n_r: int = 16,
     n_u: int = 12,
-    jobs: int = 1,
     grid_engine: bool = True,
-    resilience=None,
     guard_policy: Optional[GuardPolicy] = None,
 ) -> Fig3Result:
     """Regenerate Fig. 3(a) and 3(b).
 
-    ``jobs > 1`` computes the two region maps in parallel worker
-    processes; the maps are identical to the serial run.  ``resilience``
-    (see ``docs/ROBUSTNESS.md``) adds unit retry/fallback and
-    checkpoint/resume of the two maps; a map that fails every recovery
-    attempt raises, since the figure cannot be built without it.
+    One analyzer builds both region maps, in process.
     ``guard_policy`` selects the solver-guard reaction per grid point;
     under ``GuardPolicy.QUARANTINE`` diverging points land in the maps
     as ``QUARANTINED`` labels and in the report's ``[guards]`` block.
@@ -84,41 +78,14 @@ def run_fig3(
     """
     grid = default_grid_for(OpenLocation.BL_PRECHARGE_CELLS, n_r=n_r, n_u=n_u)
     completed_fp = parse_fp(COMPLETED_FP_TEXT)
-    if jobs > 1 or resilience is not None:
-        from ..parallel import AnalyzerSpec, parallel_map, region_map_unit
-
-        spec = AnalyzerSpec(
-            OpenLocation.BL_PRECHARGE_CELLS, technology=technology, grid=grid,
-            grid_engine=grid_engine, guard_policy=guard_policy,
-        )
-        partial_map, completed_map = parallel_map(
-            region_map_unit,
-            [
-                (spec, parse_sos("1r1"), FloatingNode.BIT_LINE),
-                (spec, completed_fp.sos, FloatingNode.BIT_LINE),
-            ],
-            jobs=jobs,
-            policy=resilience.policy if resilience is not None else None,
-            checkpoint=(
-                resilience.checkpoint if resilience is not None else None
-            ),
-            keys=[
-                f"fig3|partial|grid={grid.signature()}",
-                f"fig3|completed|grid={grid.signature()}",
-            ],
-            codec="region-map",
-        )
-    else:
-        analyzer = ColumnFaultAnalyzer(
-            OpenLocation.BL_PRECHARGE_CELLS, technology=technology, grid=grid,
-            grid_engine=grid_engine, guard_policy=guard_policy,
-        )
-        partial_map = analyzer.region_map(
-            parse_sos("1r1"), FloatingNode.BIT_LINE
-        )
-        completed_map = analyzer.region_map(
-            completed_fp.sos, FloatingNode.BIT_LINE
-        )
+    analyzer = ColumnFaultAnalyzer(
+        OpenLocation.BL_PRECHARGE_CELLS, technology=technology, grid=grid,
+        grid_engine=grid_engine, guard_policy=guard_policy,
+    )
+    partial_map = analyzer.region_map(parse_sos("1r1"), FloatingNode.BIT_LINE)
+    completed_map = analyzer.region_map(
+        completed_fp.sos, FloatingNode.BIT_LINE
+    )
 
     report = ExperimentReport("Figure 3 — bit-line open (Open 4), RDF1")
     report.add_block("Fig. 3(a): S = 1r1\n" + partial_map.render_ascii())

@@ -65,18 +65,12 @@ def run_fig4(
     technology: Optional[Technology] = None,
     n_r: int = 20,
     n_u: int = 12,
-    jobs: int = 1,
     grid_engine: bool = True,
-    resilience=None,
     guard_policy: Optional[GuardPolicy] = None,
 ) -> Fig4Result:
     """Regenerate Fig. 4(a) and 4(b).
 
-    ``jobs > 1`` computes the two region maps in parallel worker
-    processes; the maps are identical to the serial run.  ``resilience``
-    (see ``docs/ROBUSTNESS.md``) adds unit retry/fallback and
-    checkpoint/resume of the two maps; a map that fails every recovery
-    attempt raises, since the figure cannot be built without it.
+    One analyzer builds both region maps, in process.
     ``guard_policy`` selects the solver-guard reaction per grid point;
     under ``GuardPolicy.QUARANTINE`` diverging points land in the maps
     as ``QUARANTINED`` labels and in the report's ``[guards]`` block.
@@ -86,39 +80,12 @@ def run_fig4(
     """
     grid = default_grid_for(OpenLocation.CELL, n_r=n_r, n_u=n_u)
     completed_fp = parse_fp(COMPLETED_FP_TEXT)
-    if jobs > 1 or resilience is not None:
-        from ..parallel import AnalyzerSpec, parallel_map, region_map_unit
-
-        spec = AnalyzerSpec(
-            OpenLocation.CELL, technology=technology, grid=grid,
-            grid_engine=grid_engine, guard_policy=guard_policy,
-        )
-        partial_map, completed_map = parallel_map(
-            region_map_unit,
-            [
-                (spec, parse_sos("0r0"), FloatingNode.CELL),
-                (spec, completed_fp.sos, FloatingNode.CELL),
-            ],
-            jobs=jobs,
-            policy=resilience.policy if resilience is not None else None,
-            checkpoint=(
-                resilience.checkpoint if resilience is not None else None
-            ),
-            keys=[
-                f"fig4|partial|grid={grid.signature()}",
-                f"fig4|completed|grid={grid.signature()}",
-            ],
-            codec="region-map",
-        )
-    else:
-        analyzer = ColumnFaultAnalyzer(
-            OpenLocation.CELL, technology=technology, grid=grid,
-            grid_engine=grid_engine, guard_policy=guard_policy,
-        )
-        partial_map = analyzer.region_map(parse_sos("0r0"), FloatingNode.CELL)
-        completed_map = analyzer.region_map(
-            completed_fp.sos, FloatingNode.CELL
-        )
+    analyzer = ColumnFaultAnalyzer(
+        OpenLocation.CELL, technology=technology, grid=grid,
+        grid_engine=grid_engine, guard_policy=guard_policy,
+    )
+    partial_map = analyzer.region_map(parse_sos("0r0"), FloatingNode.CELL)
+    completed_map = analyzer.region_map(completed_fp.sos, FloatingNode.CELL)
 
     report = ExperimentReport("Figure 4 — memory-cell open (Open 1), RDF0")
     report.add_block("Fig. 4(a): S = 0r0\n" + partial_map.render_ascii())

@@ -82,21 +82,22 @@ class MarchPFResult:
     quarantined: List[str] = field(default_factory=list)
 
 
-def _detect_point(payload):
-    """Detection verdict for one (test, defect point) unit.
+def _detect_point(
+    test: MarchTest,
+    location: OpenLocation,
+    resistance: float,
+    technology: Optional[Technology],
+    n_rows: int,
+    guard_policy: Optional[GuardPolicy],
+) -> Optional[bool]:
+    """Detection verdict for one defect point.
 
     The point is exercised with both adversarial floating-voltage presets
     (all floating nodes low / all high); detection requires flagging both.
-    Top-level so :func:`~repro.parallel.parallel_map` can ship it to a
-    worker process.  Returns a bool verdict — or the string
-    ``"quarantined"`` when a solver guard trips under
+    Returns ``None`` when a solver guard trips under
     ``GuardPolicy.QUARANTINE`` (a march sequence has no grid point to
     skip, so the whole defect point is set aside).
     """
-    test, location, resistance, technology, n_rows = payload[:5]
-    guard_policy = payload[5] if len(payload) > 5 else None
-    if guard_policy is not None:
-        solver_guards_configure(policy=guard_policy)
     detected_all = True
     for preset in (0.0, None):
         memory = ElectricalMemory.with_defect(
@@ -117,7 +118,7 @@ def _detect_point(payload):
         except SolverDivergenceError:
             if guard_policy is not GuardPolicy.QUARANTINE:
                 raise
-            return "quarantined"
+            return None
         detected_all = detected_all and outcome.detected
     return detected_all
 
@@ -127,53 +128,29 @@ def electrical_detection(
     technology: Optional[Technology] = None,
     points: Sequence[Tuple[OpenLocation, float]] = ELECTRICAL_POINTS,
     n_rows: int = 3,
-    jobs: int = 1,
-    resilience=None,
     guard_policy: Optional[GuardPolicy] = None,
     quarantined: Optional[List[str]] = None,
 ) -> Dict[str, bool]:
     """Run one march test on the analog model for each defect point.
 
-    ``jobs`` fans the points out over worker processes (each point is an
-    independent simulation); the verdicts are identical for any value.
-    ``resilience`` (see ``docs/ROBUSTNESS.md``) adds retry/fallback and
-    checkpoint/resume per point; a point that exhausts every recovery
-    attempt is recorded as a failure and reported as not detected.
-
-    ``guard_policy`` is applied inside each unit (worker processes
-    included).  Under ``GuardPolicy.QUARANTINE`` a point whose march
-    simulation trips a solver guard is recorded as not detected and its
-    label is appended to ``quarantined`` (when a list is passed).
+    Under ``GuardPolicy.QUARANTINE`` a point whose march simulation
+    trips a solver guard is recorded as not detected and its label is
+    appended to ``quarantined`` (when a list is passed).
     """
-    from ..parallel import parallel_map_ex
-
-    payloads = [
-        (test, location, resistance, technology, n_rows, guard_policy)
-        for location, resistance in points
-    ]
-    verdicts = parallel_map_ex(
-        _detect_point,
-        payloads,
-        jobs=jobs,
-        policy=resilience.policy if resilience is not None else None,
-        checkpoint=resilience.checkpoint if resilience is not None else None,
-        keys=[
-            f"march|{test.name}|{location.name}|{resistance:.3e}"
-            f"|rows={n_rows}"
-            for location, resistance in points
-        ],
-        codec="json",
-        strict=resilience is None,
-    ).results
+    if guard_policy is not None:
+        solver_guards_configure(policy=guard_policy)
     results: Dict[str, bool] = {}
-    for (location, resistance), verdict in zip(points, verdicts):
+    for location, resistance in points:
         label = f"Open {location.number} @ {resistance:.0e}"
-        if verdict == "quarantined":
+        verdict = _detect_point(
+            test, location, resistance, technology, n_rows, guard_policy
+        )
+        if verdict is None:
             if quarantined is not None:
                 quarantined.append(f"{test.name}: {label}")
             results[label] = False
         else:
-            results[label] = bool(verdict)
+            results[label] = verdict
     return results
 
 
@@ -184,18 +161,14 @@ def run_march_pf(
     topology: Optional[Topology] = None,
     with_generator: bool = True,
     with_electrical: bool = True,
-    jobs: int = 1,
-    resilience=None,
     guard_policy: Optional[GuardPolicy] = None,
 ) -> MarchPFResult:
     """Regenerate the march-test comparison.
 
-    ``jobs`` parallelizes the electrical cross-validation points;
-    ``resilience`` threads retry/fallback and checkpoint/resume through
-    them (see ``docs/ROBUSTNESS.md``).  ``guard_policy`` applies to the
-    electrical cross-validation (the coverage matrix is symbolic and
-    never touches the solver); quarantined defect points land on
-    ``result.quarantined`` and in the ``[guards]`` report block.
+    ``guard_policy`` applies to the electrical cross-validation (the
+    coverage matrix is symbolic and never touches the solver);
+    quarantined defect points land on ``result.quarantined`` and in the
+    ``[guards]`` report block.
     """
     faults = completed_fault_set()
     topology = topology or Topology(n_rows=4, n_cols=2)
@@ -256,8 +229,8 @@ def run_march_pf(
     if with_electrical:
         for test in (MARCH_PF_PLUS, MARCH_PF):
             electrical[test.name] = electrical_detection(
-                test, technology, jobs=jobs, resilience=resilience,
-                guard_policy=guard_policy, quarantined=quarantined,
+                test, technology, guard_policy=guard_policy,
+                quarantined=quarantined,
             )
         rows = [
             (point,

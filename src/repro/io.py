@@ -13,10 +13,10 @@ plain JSON-compatible structures:
 * :class:`~repro.core.diagnosis.SignatureDatabase` — the signature entries,
   so the dictionary is built once and loaded afterwards;
 * :class:`~repro.core.analysis.PartialFaultFinding` — location, floating
-  plan, probe SOS, FFM and the full region map, so survey work units can
-  be checkpointed and resumed (see :class:`CheckpointStore`);
+  plan, probe SOS, FFM and the full region map;
 * one open's Table 1 inventory rows and quarantined points, the result
-  of Table 1's per-open work unit.
+  of Table 1's per-open work unit, so those units can be checkpointed
+  and resumed (see :class:`CheckpointStore`).
 
 Every ``dump_*`` returns JSON-serializable data; ``dumps_*``/``loads_*``
 go straight to strings.  Version tags guard against silent format drift.
@@ -24,7 +24,7 @@ go straight to strings.  Version tags guard against silent format drift.
 :class:`CheckpointStore` is the persistence side of the resilient sweep
 orchestrator (``docs/ROBUSTNESS.md``): an append-only JSONL file of
 finished work-unit results, one self-describing line per unit, written
-incrementally so a hard-interrupted survey can resume from whatever
+incrementally so a hard-interrupted Table 1 can resume from whatever
 completed.  The per-line codecs are the dump/load pairs of this module,
 selected by name through :data:`CHECKPOINT_CODECS`.
 """
@@ -51,7 +51,6 @@ __all__ = [
     "dump_signature_database", "load_signature_database",
     "dump_finding", "load_finding",
     "dump_quarantined_point", "load_quarantined_point",
-    "dump_survey_unit", "load_survey_unit",
     "dump_open_inventory", "load_open_inventory",
     "CHECKPOINT_CODECS", "CheckpointStore", "JsonlAppender",
 ]
@@ -256,39 +255,6 @@ def load_quarantined_point(data: Dict[str, Any]) -> QuarantinedPoint:
     )
 
 
-def dump_survey_unit(result) -> Dict[str, Any]:
-    """One ``(location, plan, probe)`` survey-unit result (Table 1 shape).
-
-    ``result`` is the ``(findings, (obs_hits, obs_misses),
-    (prop_hits, prop_misses), quarantined)`` tuple a survey worker
-    returns; pre-guard 3-tuples (no quarantine list) are accepted too.
-    """
-    if len(result) == 3:
-        findings, observation, propagator = result
-        quarantined: List[QuarantinedPoint] = []
-    else:
-        findings, observation, propagator, quarantined = result
-    return _tagged(
-        {
-            "findings": [dump_finding(f) for f in findings],
-            "observation": list(observation),
-            "propagator": list(propagator),
-            "quarantined": [dump_quarantined_point(q) for q in quarantined],
-        },
-        "survey-unit",
-    )
-
-
-def load_survey_unit(data: Dict[str, Any]):
-    data = _check(data, "survey-unit")
-    return (
-        [load_finding(f) for f in data["findings"]],
-        tuple(data["observation"]),
-        tuple(data["propagator"]),
-        [load_quarantined_point(q) for q in data.get("quarantined", [])],
-    )
-
-
 def dump_open_inventory(result) -> Dict[str, Any]:
     """One open's Table 1 unit result: its inventory rows and the grid
     points its guards quarantined (``(rows, quarantined)``)."""
@@ -347,8 +313,6 @@ CHECKPOINT_CODECS: Dict[
     str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]
 ] = {
     "json": (_identity, _identity),
-    "region-map": (dump_region_map, load_region_map),
-    "survey-unit": (dump_survey_unit, load_survey_unit),
     "table1-open": (dump_open_inventory, load_open_inventory),
 }
 

@@ -1,22 +1,20 @@
-"""Process-parallel survey orchestration for the sweep experiments.
+"""Process-parallel orchestration of Table 1's per-open work units.
 
-The experiments fan out along natural unit boundaries — one open per
-unit for Table 1 (its surveys, completion searches and marginal
-checks, on one analyzer), one region map per unit for Figs. 3/4, one
-``(test, defect point)`` per unit for the march cross-validation;
-:func:`survey_locations` offers finer ``(location, plan, probe)``
-survey units to library callers — and every unit is a *pure function*
-of its pickled payload: a worker rebuilds its analyzer from an
-:class:`AnalyzerSpec`, runs, and returns plain result objects.  That
-purity is what makes ``--jobs N`` deterministic: the result of a unit
-does not depend on which worker ran it, how warm that worker's
-propagator cache was, or in what order units completed; the parent
-always merges results in payload order.  Workers fork
-(:func:`default_jobs` gives the worker count of a run without an
+Table 1 is the one experiment that fans out: one open per unit (its
+surveys, completion searches and marginal checks, on one analyzer; see
+:func:`repro.experiments.table1.run_table1`).  Figs. 3/4 and the march
+cross-validation are too small to gain from worker processes and run
+in process.  Every unit is a *pure function* of its pickled payload: a
+worker rebuilds its analyzer from an :class:`AnalyzerSpec`, runs, and
+returns plain result objects.  That purity is what makes ``--jobs N``
+deterministic: the result of a unit does not depend on which worker ran
+it, how warm that worker's propagator cache was, or in what order units
+completed; the parent always merges results in payload order.  Workers
+fork (:func:`default_jobs` gives the worker count of a run without an
 explicit one).
 
-``jobs=1`` never touches a process pool: :func:`parallel_map` degrades
-to an in-process loop over the same units, so the output is
+``jobs=1`` never touches a process pool: :func:`parallel_map_ex`
+degrades to an in-process loop over the same units, so the output is
 byte-identical for any worker count.
 
 Purity is also what makes the fan-out *resilient* (see
@@ -39,8 +37,8 @@ governed by a :class:`RetryPolicy`:
   inventory after a hard interrupt.
 
 A unit that fails even the fallback is surfaced as a structured
-:class:`UnitFailure` (in :class:`MapOutcome` / :class:`SurveyOutcome`
-and the CLI's ``[resilience]`` summary), not as a bare traceback.
+:class:`UnitFailure` (in :class:`MapOutcome` and the CLI's
+``[resilience]`` summary), not as a bare traceback.
 
 Telemetry: each worker records into its own process-global registry
 (reset before every unit) and ships the snapshot back with the result;
@@ -52,9 +50,7 @@ ride the same channel: each unit ships its tracer state
 snapshot, and the parent re-parents the unit's span tree under the
 trace context captured when the fan-out started
 (:meth:`~repro.telemetry.tracer.Tracer.adopt_state`) — a ``--jobs N``
-JSONL export is one connected tree.  Analyzer observation-cache and
-propagator-cache statistics are merged the same way and reported by
-:class:`FanoutStats`.  The recovery paths count as
+JSONL export is one connected tree.  The recovery paths count as
 ``parallel.retries`` / ``parallel.timeouts`` /
 ``parallel.fallback_units`` / ``parallel.pool_breaks`` /
 ``parallel.failures`` / ``parallel.resumed_units``.
@@ -84,21 +80,15 @@ from typing import (
 from . import telemetry
 from .telemetry import events
 from .circuit import network as circuit_network
-from .circuit.defects import FloatingNode, OpenLocation
-from .circuit.network import GuardPolicy, propagator_cache_info
+from .circuit.defects import OpenLocation
+from .circuit.network import GuardPolicy
 from .circuit.technology import Technology
-from .core.analysis import (
-    ColumnFaultAnalyzer, PartialFaultFinding, QuarantinedPoint, SweepGrid,
-    default_grid_for,
-)
+from .core.analysis import ColumnFaultAnalyzer, SweepGrid
 from .errors import CheckpointMismatchError, SpecValidationError
 from .io import CHECKPOINT_CODECS, CheckpointStore
 
 __all__ = [
     "AnalyzerSpec",
-    "SurveyUnit",
-    "FanoutStats",
-    "SurveyOutcome",
     "RetryPolicy",
     "Resilience",
     "UnitFailure",
@@ -106,11 +96,7 @@ __all__ = [
     "ResilienceLog",
     "default_jobs",
     "drain_resilience_log",
-    "parallel_map",
     "parallel_map_ex",
-    "region_map_unit",
-    "survey_locations",
-    "survey_unit_key",
     "add_progress_listener",
     "remove_progress_listener",
 ]
@@ -229,44 +215,6 @@ class AnalyzerSpec:
         return self
 
 
-@dataclass(frozen=True)
-class SurveyUnit:
-    """One fan-out unit: probe one SOS under one floating-voltage plan."""
-
-    spec: AnalyzerSpec
-    plan: Tuple[FloatingNode, ...]
-    probe: str
-
-
-@dataclass
-class FanoutStats:
-    """Aggregated cache statistics across every unit of one fan-out."""
-
-    observation_hits: int = 0
-    observation_misses: int = 0
-    propagator_hits: int = 0
-    propagator_misses: int = 0
-
-    def add(self, other: "FanoutStats") -> None:
-        self.observation_hits += other.observation_hits
-        self.observation_misses += other.observation_misses
-        self.propagator_hits += other.propagator_hits
-        self.propagator_misses += other.propagator_misses
-
-    @staticmethod
-    def _ratio(hits: int, misses: int) -> Optional[float]:
-        total = hits + misses
-        return hits / total if total else None
-
-    @property
-    def observation_hit_ratio(self) -> Optional[float]:
-        return self._ratio(self.observation_hits, self.observation_misses)
-
-    @property
-    def propagator_hit_ratio(self) -> Optional[float]:
-        return self._ratio(self.propagator_hits, self.propagator_misses)
-
-
 # -- resilience policy and records ---------------------------------------------
 
 @dataclass(frozen=True)
@@ -298,8 +246,8 @@ class RetryPolicy:
         )
 
 
-#: The pre-resilience contract of :func:`parallel_map`: no retries, no
-#: fallback — the first unit error propagates to the caller.
+#: The fail-fast contract of ``strict=True``: no retries, no fallback —
+#: the first unit error propagates to the caller.
 _STRICT_POLICY = RetryPolicy(max_retries=0, fallback=False)
 
 
@@ -328,7 +276,6 @@ class MapOutcome:
     results: List[Any]
     failures: List[UnitFailure] = field(default_factory=list)
     resumed: int = 0
-    quarantined: List[Any] = field(default_factory=list)
 
 
 @dataclass
@@ -433,22 +380,6 @@ def drain_resilience_log() -> ResilienceLog:
     log = _session_log()
     _session_local.log = ResilienceLog()
     return log
-
-
-@dataclass
-class SurveyOutcome:
-    """Findings of :func:`survey_locations`, plus merged cache stats.
-
-    ``failures`` lists units that failed after every recovery attempt
-    (their findings are missing from the inventory); ``resumed`` counts
-    units restored from the checkpoint store instead of re-running.
-    """
-
-    findings: Dict[OpenLocation, List[PartialFaultFinding]]
-    stats: FanoutStats = field(default_factory=FanoutStats)
-    failures: List[UnitFailure] = field(default_factory=list)
-    resumed: int = 0
-    quarantined: List[QuarantinedPoint] = field(default_factory=list)
 
 
 # -- the generic fan-out -------------------------------------------------------
@@ -802,10 +733,10 @@ def parallel_map_ex(
 ) -> MapOutcome:
     """Map ``func`` over ``payloads`` with recovery and checkpointing.
 
-    The resilient core behind :func:`parallel_map`.  ``func`` must be a
-    module-level callable and every payload/result must pickle; with
-    ``jobs <= 1`` units run in-process (retry and fallback still apply;
-    ``unit_timeout`` does not — nothing can interrupt the parent).
+    ``func`` must be a module-level callable and every payload/result
+    must pickle; with ``jobs <= 1`` units run in-process (retry and
+    fallback still apply; ``unit_timeout`` does not — nothing can
+    interrupt the parent).
     Pooled workers fork (where the platform can).  ``costs`` estimates
     each unit's run time: a pool takes the costliest unit first, so the
     longest unit does not start last.  In-process runs keep payload
@@ -819,7 +750,7 @@ def parallel_map_ex(
     interrupted run resumes from whatever completed.  ``codec`` names
     the :data:`~repro.io.CHECKPOINT_CODECS` dump/load pair for results.
 
-    ``strict=True`` restores the fail-fast contract: the first unit
+    ``strict=True`` is the fail-fast contract: the first unit
     error that survives the policy's retries/fallback is raised (with
     ``partial_results`` and ``unit_failures`` attached, and the worker
     telemetry collected so far merged).  ``strict=False`` records a
@@ -841,24 +772,6 @@ def parallel_map_ex(
     if codec not in CHECKPOINT_CODECS:
         raise ValueError(f"unknown checkpoint codec {codec!r}")
     outcome = MapOutcome(results=[None] * n)
-
-    def finish() -> MapOutcome:
-        # Region-map results may carry QUARANTINED grid labels (resumed
-        # entries included); surface their coordinates on the outcome.
-        for result in outcome.results:
-            collect = getattr(result, "quarantined_points", None)
-            if callable(collect):
-                outcome.quarantined.extend(collect())
-        if outcome.quarantined:
-            _notify_progress(
-                "units.quarantined", count=len(outcome.quarantined)
-            )
-            events.emit(
-                "parallel.units.quarantined",
-                count=len(outcome.quarantined),
-            )
-        return outcome
-
     done = [False] * n
     if checkpoint is not None:
         existing = checkpoint.load()
@@ -875,7 +788,7 @@ def parallel_map_ex(
             events.emit("parallel.units.resumed", count=outcome.resumed)
     pending = [index for index in range(n) if not done[index]]
     if not pending:
-        return finish()
+        return outcome
     if costs is not None and jobs > 1:
         pending.sort(key=lambda index: -costs[index])
     run = _FanoutRun(
@@ -887,178 +800,4 @@ def parallel_map_ex(
             run.run_in_process(index, with_retries=True)
     else:
         _run_pool(run, pending, jobs)
-    return finish()
-
-
-def parallel_map(
-    func: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    jobs: int = 1,
-    policy: Optional[RetryPolicy] = None,
-    checkpoint: Optional[CheckpointStore] = None,
-    keys: Optional[Sequence[str]] = None,
-    codec: str = "json",
-) -> List[Any]:
-    """Map ``func`` over ``payloads`` with ``jobs`` worker processes.
-
-    Results come back in payload order regardless of completion order.
-    ``func`` must be a module-level callable and every payload/result
-    must pickle.  With ``jobs <= 1`` this is a plain in-process loop —
-    no pool, no pickling, no telemetry indirection.
-
-    Without a ``policy`` the historical fail-fast contract holds: the
-    first unit error is raised — but the telemetry snapshots of units
-    that finished are merged first, and the error carries
-    ``partial_results`` (index -> result) and ``unit_failures``, so a
-    crash no longer silently discards completed work.  Pass a
-    :class:`RetryPolicy` (and optionally a checkpoint store with stable
-    ``keys``) for retry/timeout/fallback recovery; see
-    :func:`parallel_map_ex` for the failure-recording variant.
-    """
-    return parallel_map_ex(
-        func, payloads, jobs=jobs, policy=policy, checkpoint=checkpoint,
-        keys=keys, codec=codec, strict=True,
-    ).results
-
-
-def region_map_unit(payload):
-    """Worker: one full ``(R_def, U)`` region map (Figs. 3/4 shape).
-
-    ``payload`` is ``(spec, sos, floating)``; returns the
-    :class:`~repro.core.regions.FPRegionMap`.
-    """
-    spec, sos, floating = payload
-    return spec.build().region_map(sos, floating)
-
-
-# -- survey fan-out (Table 1 shape) --------------------------------------------
-
-def _survey_unit(unit: SurveyUnit) -> Tuple[
-    List[PartialFaultFinding], Tuple[int, int], Tuple[int, int],
-    List[QuarantinedPoint],
-]:
-    """Run one survey unit; return findings plus per-unit cache deltas
-    and any grid points the unit's guards quarantined."""
-    before = propagator_cache_info()
-    analyzer = unit.spec.build()
-    findings = analyzer.survey(floating=unit.plan, probes=(unit.probe,))
-    info = analyzer.cache_info()
-    after = propagator_cache_info()
-    return (
-        findings,
-        (info.hits, info.misses),
-        (after.hits - before.hits, after.misses - before.misses),
-        analyzer.quarantined,
-    )
-
-
-def survey_unit_key(unit: SurveyUnit) -> str:
-    """Stable checkpoint key for one survey unit.
-
-    Embeds the grid signature (and the analyzer geometry): a resume
-    against a store whose entries carry a *different* grid signature
-    raises :class:`~repro.errors.CheckpointMismatchError` instead of
-    silently reusing (or sidestepping) results computed on another grid.
-    """
-    spec = unit.spec
-    grid_sig = spec.grid.signature() if spec.grid is not None else "default"
-    plan = "+".join(node.name for node in unit.plan)
-    return (
-        f"survey|{spec.location.name}|{plan}|{unit.probe}"
-        f"|grid={grid_sig}|rows={spec.n_rows}.{spec.victim_row}"
-    )
-
-
-def survey_locations(
-    locations: Sequence[OpenLocation],
-    jobs: int = 1,
-    technology: Optional[Technology] = None,
-    n_r: int = 16,
-    n_u: int = 12,
-    probes: Optional[Sequence[str]] = None,
-    grid_engine: bool = True,
-    resilience: Optional[Resilience] = None,
-    guard_policy: Optional[GuardPolicy] = None,
-) -> SurveyOutcome:
-    """Survey every ``(location, plan, probe)`` unit, optionally in parallel.
-
-    The returned findings are ordered exactly as the serial nested loop
-    (locations -> sweep plans -> probes) would produce them, so callers
-    that deduplicate or rank findings see the same sequence for any
-    ``jobs``.  With ``jobs=1`` each location keeps one analyzer across
-    all of its plans and probes (the original serial path, sharing one
-    observation cache); with ``jobs > 1`` each unit rebuilds a fresh
-    analyzer in its worker — observations are pure functions of the
-    operating point, so the results are identical either way.
-
-    ``resilience`` switches the fan-out to recovery mode: unit errors
-    are retried/fallen back per the policy (failures land in
-    ``outcome.failures`` instead of raising) and, with a checkpoint
-    store, finished units persist incrementally and are skipped on
-    resume.  It also routes ``jobs=1`` through the unit decomposition so
-    checkpoint/resume works serially — unit purity keeps the inventory
-    identical.
-    """
-    from .core.analysis import PROBE_SOSES
-
-    probe_list: Tuple[str, ...] = (
-        tuple(probes) if probes is not None else PROBE_SOSES
-    )
-    specs = [
-        AnalyzerSpec(
-            location,
-            technology=technology,
-            grid=default_grid_for(location, n_r=n_r, n_u=n_u),
-            grid_engine=grid_engine,
-            guard_policy=guard_policy,
-        ).validate()
-        for location in locations
-    ]
-    outcome = SurveyOutcome({location: [] for location in locations})
-    if jobs <= 1 and resilience is None:
-        for spec in specs:
-            before = propagator_cache_info()
-            analyzer = spec.build()
-            for plan in analyzer.sweep_plans():
-                outcome.findings[spec.location].extend(
-                    analyzer.survey(floating=plan, probes=probe_list)
-                )
-            info = analyzer.cache_info()
-            after = propagator_cache_info()
-            outcome.stats.add(FanoutStats(
-                info.hits, info.misses,
-                after.hits - before.hits, after.misses - before.misses,
-            ))
-            outcome.quarantined.extend(analyzer.quarantined)
-        return outcome
-    units = [
-        SurveyUnit(spec, plan, probe)
-        for spec in specs
-        for plan in spec.build().sweep_plans()
-        for probe in probe_list
-    ]
-    mapped = parallel_map_ex(
-        _survey_unit,
-        units,
-        jobs=jobs,
-        policy=resilience.policy if resilience is not None else None,
-        checkpoint=resilience.checkpoint if resilience is not None else None,
-        keys=[survey_unit_key(unit) for unit in units],
-        codec="survey-unit",
-        strict=resilience is None,
-    )
-    outcome.failures = mapped.failures
-    outcome.resumed = mapped.resumed
-    for unit, result in zip(units, mapped.results):
-        if result is None:
-            continue  # failed unit, surfaced in outcome.failures
-        # Pre-guard checkpoints stored 3-tuples (no quarantine list).
-        if len(result) == 3:
-            findings, obs, prop = result
-            quarantined: List[QuarantinedPoint] = []
-        else:
-            findings, obs, prop, quarantined = result
-        outcome.findings[unit.spec.location].extend(findings)
-        outcome.stats.add(FanoutStats(obs[0], obs[1], prop[0], prop[1]))
-        outcome.quarantined.extend(quarantined)
     return outcome

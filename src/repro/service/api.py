@@ -659,10 +659,11 @@ class SweepService:
         (``JobQueue.submit(recovered=True)``).  The old records stay
         until one atomic compaction to the live set after the last
         re-admission, so a kill during recovery loses no job.  In-flight
-        jobs resume from their unit checkpoint.  Two live jobs share an
-        address only when the earlier one ran with a cancel request
-        pending, so that one settles cancelled.  Idempotent: the CLI
-        runs it early to report recovery counts in its banner.
+        jobs resume from their unit checkpoint.  A job whose cancel
+        request was journaled settles cancelled, and so does the earlier
+        of two live jobs sharing an address (it ran with a cancel
+        request pending).  Idempotent: the CLI runs it early to report
+        recovery counts in its banner.
         """
         if self.journal is None or self._recovered:
             return
@@ -686,6 +687,10 @@ class SweepService:
                 recovered=True,
                 job_id=entry.job,
             )
+            if entry.cancel_requested:
+                # Kept on the queued job until the cancel below, so the
+                # compaction in between keeps the request journaled.
+                self.queue.get(entry.job).cancel_requested = True
             self.recovered_jobs += 1
             if entry.in_flight:
                 self.recovered_in_flight += 1
@@ -694,7 +699,7 @@ class SweepService:
                 telemetry.count("service.journal.recovered_queued")
         self.queue.compact_journal()
         for entry in entries:
-            if owners[entry.address] != entry.job:
+            if entry.cancel_requested or owners[entry.address] != entry.job:
                 self.queue.cancel(entry.job)
         if entries:
             event_log.emit(

@@ -138,8 +138,8 @@ class ThreadJobExecutor:
 
         def on_progress(kind: str, info: dict) -> None:
             # Fan-out milestones (unit completions, retries, timeouts,
-            # fallbacks, resumes, quarantines) become job progress
-            # events, which feed GET /jobs/<id>/events live.
+            # fallbacks, resumes) become job progress events, which
+            # feed GET /jobs/<id>/events live.
             self.queue.emit(job, "progress", kind=kind, **info)
 
         add_progress_listener(on_progress)

@@ -104,9 +104,7 @@ def _run_fig3(spec: "JobSpec", resilience: Any) -> Any:
         technology=spec.resolved_technology(),
         n_r=spec.resolved_n_r(),
         n_u=spec.resolved_n_u(),
-        jobs=spec.jobs,
         grid_engine=spec.grid_engine,
-        resilience=resilience,
         guard_policy=spec.resolved_guard_policy(),
     )
 
@@ -118,9 +116,7 @@ def _run_fig4(spec: "JobSpec", resilience: Any) -> Any:
         technology=spec.resolved_technology(),
         n_r=spec.resolved_n_r(),
         n_u=spec.resolved_n_u(),
-        jobs=spec.jobs,
         grid_engine=spec.grid_engine,
-        resilience=resilience,
         guard_policy=spec.resolved_guard_policy(),
     )
 
@@ -130,8 +126,6 @@ def _run_march(spec: "JobSpec", resilience: Any) -> Any:
 
     return run_march_pf(
         technology=spec.resolved_technology(),
-        jobs=spec.jobs,
-        resilience=resilience,
         guard_policy=spec.resolved_guard_policy(),
     )
 
@@ -224,7 +218,8 @@ class JobSpec:
     #: key order never changes the address.
     technology: Optional[Tuple[Tuple[str, float], ...]] = None
     #: Execution hints — identical results for any value (docs/PERFORMANCE.md),
-    #: therefore NOT part of the content address.
+    #: therefore NOT part of the content address.  ``jobs`` applies to
+    #: ``table1`` jobs only; the other experiments run in process.
     jobs: int = 1
     grid_engine: bool = True
 

@@ -14,6 +14,7 @@ Record shapes (one JSON object per line)::
      "job": "<id>", "address": "<addr>", "spec": {...},
      "priority": 0, "client": null, "recovered": false, "at": ...}
     {... "op": "claim",  "job": "<id>"}
+    {... "op": "cancel_request", "job": "<id>"}
     {... "op": "done",   "job": "<id>", "cache_hit": false}
     {... "op": "fail",   "job": "<id>", "error_type": "..."}
     {... "op": "cancel", "job": "<id>"}
@@ -23,7 +24,9 @@ Record shapes (one JSON object per line)::
 when the process died: a ``submit`` with no terminal ``done``/``fail``/
 ``cancel`` is *pending*; one that also saw a ``claim`` was *in flight*
 (it resumes from its per-address unit checkpoint, so the crash costs
-only the uncheckpointed units).  Replay is tolerant the same way
+only the uncheckpointed units); one that also saw a ``cancel_request``
+(a cancel asked of a running job) settles cancelled on recovery
+instead of running again.  Replay is tolerant the same way
 checkpoint loads are: a torn tail line, unknown ops, undecodable
 records, and terminal records for unknown jobs are skipped, never
 fatal.
@@ -59,7 +62,7 @@ _TERMINAL_OPS = ("done", "fail", "cancel")
 #: Every op replay understands; anything else is skipped (forward
 #: compatibility: a newer writer's records must not break an older
 #: reader's recovery).
-_KNOWN_OPS = ("submit", "claim", "drain") + _TERMINAL_OPS
+_KNOWN_OPS = ("submit", "claim", "cancel_request", "drain") + _TERMINAL_OPS
 
 
 @dataclass
@@ -75,6 +78,10 @@ class JournalEntry:
     #: was running when the process died and will resume from its unit
     #: checkpoint.
     in_flight: bool = False
+    #: True when a ``cancel_request`` record followed the ``submit`` —
+    #: a cancel was asked of the running job; recovery settles it
+    #: cancelled.
+    cancel_requested: bool = False
 
 
 @dataclass
@@ -191,7 +198,8 @@ class JobJournal:
         records for unknown jobs are skipped (counted in
         ``stats.torn``) — recovery never fails on a damaged journal, it
         recovers what it can.  A later ``submit`` for a job id already
-        seen replaces the earlier one (compaction rewrites do this).
+        seen replaces the earlier one (recovery's re-admissions do
+        this) but keeps its pending cancel request.
         """
         entries: "Dict[str, JournalEntry]" = {}
         order: List[str] = []
@@ -233,7 +241,8 @@ class JobJournal:
                     ):
                         skipped += 1
                         continue
-                    if job not in entries:
+                    earlier = entries.get(job)
+                    if earlier is None:
                         order.append(job)
                     entries[job] = JournalEntry(
                         job=job,
@@ -241,11 +250,18 @@ class JobJournal:
                         spec=spec,
                         priority=record.get("priority") or 0,
                         client=record.get("client"),
+                        cancel_requested=(
+                            earlier is not None and earlier.cancel_requested
+                        ),
                     )
                 elif op == "claim":
                     entry = entries.get(job)
                     if entry is not None:
                         entry.in_flight = True
+                elif op == "cancel_request":
+                    entry = entries.get(job)
+                    if entry is not None:
+                        entry.cancel_requested = True
                 elif op in _TERMINAL_OPS:
                     if entries.pop(job, None) is not None:
                         order.remove(job)
@@ -262,7 +278,8 @@ class JobJournal:
 
         ``live`` pairs each entry with its *running* flag; running jobs
         get a ``claim`` record after their ``submit`` so a replay still
-        sees them as in flight.
+        sees them as in flight, and a pending cancel request keeps its
+        ``cancel_request`` record.
         """
         records: List[Dict[str, Any]] = []
         now = time.time()
@@ -277,6 +294,11 @@ class JobJournal:
                 records.append({
                     "format": _FORMAT, "kind": _KIND, "op": "claim",
                     "at": now, "job": entry.job,
+                })
+            if entry.cancel_requested:
+                records.append({
+                    "format": _FORMAT, "kind": _KIND,
+                    "op": "cancel_request", "at": now, "job": entry.job,
                 })
         with self._lock:
             self._rewrite(records)

@@ -299,6 +299,7 @@ class JobQueue:
                         spec=job.spec.to_json(),
                         priority=job.priority,
                         client=job.client,
+                        cancel_requested=job.cancel_requested,
                     ),
                     job.state is JobState.RUNNING,
                 ))
@@ -480,8 +481,9 @@ class JobQueue:
         """Cancel one job; returns it, or ``None`` if unknown.
 
         A QUEUED job is terminal immediately and its admission slot is
-        freed; a RUNNING job only gets ``cancel_requested`` set — the
-        scheduler marks it CANCELLED at its next cooperative check.
+        freed; a RUNNING job only gets ``cancel_requested`` set (and
+        journaled, so a crash does not run it again) — the scheduler
+        marks it CANCELLED at its next cooperative check.
         Cancelling a terminal job is a no-op.
         """
         settled = False
@@ -505,6 +507,7 @@ class JobQueue:
             elif job.state is JobState.RUNNING and not job.cancel_requested:
                 job.cancel_requested = True
                 job.emit("cancel-requested")
+                self._journal_append("cancel_request", job=job.id)
                 event_log.emit("service.job.cancel_requested", job=job.id)
             self._event_cond.notify_all()
         if settled:

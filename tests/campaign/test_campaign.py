@@ -38,10 +38,6 @@ def small_config(**overrides):
 
 
 class TestConfigValidation:
-    def test_only_table1_campaigns_are_supported(self):
-        with pytest.raises(SpecValidationError):
-            small_config(experiment="fig3").validate()
-
     def test_resume_needs_a_checkpoint_path(self):
         with pytest.raises(SpecValidationError):
             small_config(resume=True).validate()

@@ -16,10 +16,11 @@ import pytest
 
 from repro import cli, telemetry
 from repro.circuit.defects import OpenLocation
+from repro.experiments import table1
 from repro.io import CheckpointStore
 from repro.parallel import (
     Resilience, RetryPolicy, UnitFailure, drain_resilience_log,
-    parallel_map, parallel_map_ex, survey_locations,
+    parallel_map_ex,
 )
 import repro.parallel as par
 
@@ -193,7 +194,7 @@ def test_strict_failure_attaches_partials_and_merges_telemetry():
     telemetry.enable()
     try:
         with pytest.raises(ValueError, match="boom") as excinfo:
-            parallel_map(_strict_unit, payloads, jobs=2)
+            parallel_map_ex(_strict_unit, payloads, jobs=2, strict=True)
         assert excinfo.value.partial_results == {0: 0, 2: 20, 3: 30}
         failures = excinfo.value.unit_failures
         assert [f.index for f in failures] == [1]
@@ -253,81 +254,49 @@ def test_checkpoint_requires_keys(tmp_path):
         parallel_map_ex(_double, [(1, "x")], keys=["a"], codec="nope")
 
 
-def _survey_fingerprint(outcome):
-    return {
-        location: [
-            (f.floating, f.probe_sos, f.ffm, f.region.labels)
-            for f in findings
-        ]
-        for location, findings in outcome.findings.items()
-    }
-
-
-def test_survey_checkpoint_resume_matches_clean_inventory(tmp_path):
-    """The acceptance property: resume after a hard interrupt (modelled
-    by truncating the checkpoint) reproduces the jobs=1 inventory."""
-    drain_resilience_log()
-    kwargs = dict(n_r=4, n_u=3)
-    opens = (OpenLocation.CELL,)
-    clean = _survey_fingerprint(survey_locations(opens, jobs=1, **kwargs))
-
-    path = str(tmp_path / "survey.jsonl")
-    res = Resilience(checkpoint=CheckpointStore(path))
-    full = survey_locations(opens, jobs=2, resilience=res, **kwargs)
-    res.checkpoint.close()
-    assert _survey_fingerprint(full) == clean and not full.failures
-
-    lines = open(path, encoding="utf-8").read().splitlines(True)
-    assert len(lines) > 2
-    truncated = str(tmp_path / "truncated.jsonl")
-    with open(truncated, "w", encoding="utf-8") as fh:
-        fh.writelines(lines[: len(lines) // 2])
-
-    drain_resilience_log()
-    res2 = Resilience(checkpoint=CheckpointStore(truncated))
-    resumed = survey_locations(opens, jobs=2, resilience=res2, **kwargs)
-    res2.checkpoint.close()
-    assert _survey_fingerprint(resumed) == clean
-    assert resumed.resumed == len(lines) // 2
-    assert drain_resilience_log().resumed == len(lines) // 2
-
-
+COARSE_OPENS = (OpenLocation.CELL, OpenLocation.BL_PRECHARGE_CELLS)
 _CRASH_FLAG = {"path": None}
-_ORIG_SURVEY_UNIT = par._survey_unit
+_ORIG_ANALYZE_OPEN = table1._analyze_open
 
 
-def _crashy_survey_unit(unit):
+def _crashy_analyze_open(payload):
     if not os.path.exists(_CRASH_FLAG["path"]):
         open(_CRASH_FLAG["path"], "w").close()
-        raise RuntimeError("injected survey crash")
-    return _ORIG_SURVEY_UNIT(unit)
+        raise RuntimeError("injected Table 1 crash")
+    return _ORIG_ANALYZE_OPEN(payload)
 
 
 @fork_only
-def test_survey_crash_injection_recovers(tmp_path, monkeypatch):
-    """A worker crash mid-survey is retried and the inventory is intact."""
+def test_table1_crash_injection_recovers(tmp_path, monkeypatch):
+    """A worker crash mid-Table 1 is retried and the inventory is intact."""
     drain_resilience_log()
-    kwargs = dict(n_r=4, n_u=3)
-    opens = (OpenLocation.CELL,)
-    clean = _survey_fingerprint(survey_locations(opens, jobs=1, **kwargs))
+    kwargs = dict(opens=COARSE_OPENS, n_r=4, n_u=3)
+    clean = table1.run_table1(jobs=1, **kwargs)
 
     _CRASH_FLAG["path"] = str(tmp_path / "crash.flag")
-    monkeypatch.setattr(par, "_survey_unit", _crashy_survey_unit)
+    monkeypatch.setattr(table1, "_analyze_open", _crashy_analyze_open)
     res = Resilience(policy=RetryPolicy(max_retries=2, backoff=0.01))
-    crashed = survey_locations(opens, jobs=2, resilience=res, **kwargs)
-    assert _survey_fingerprint(crashed) == clean
-    assert not crashed.failures
+    crashed = table1.run_table1(jobs=2, resilience=res, **kwargs)
+    assert os.path.exists(_CRASH_FLAG["path"]), "no crash was injected"
+    assert crashed.rows == clean.rows
+    assert crashed.report.render() == clean.report.render()
     log = drain_resilience_log()
     assert log.retries >= 1 and not log.failures
 
 
 # -- CLI surface (satellites 2 and 3) ------------------------------------------
 
-def test_cli_jobs_notice_for_non_fanned_experiment(capsys):
+def test_cli_jobs_notice_for_non_fanned_experiment(tmp_path, capsys):
     assert cli.main(["fp-space", "--jobs", "2"]) == 0
     out = capsys.readouterr().out
     assert "[note] fp-space has no parallel fan-out" in out
-    assert "fig3, fig4, march, table1" in out
+    assert "--jobs 2 is ignored" in out
+    assert "(fanned experiments: table1)" in out
+    path = str(tmp_path / "ck.jsonl")
+    assert cli.main(["fp-space", "--jobs", "2", "--checkpoint", path]) == 0
+    out = capsys.readouterr().out
+    assert "; --jobs 2 and --checkpoint are ignored" in out
+    assert "[resilience]" not in out
 
 
 def test_cli_default_output_has_no_notices(capsys):
@@ -362,13 +331,20 @@ def test_cli_resume_flag_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_checkpoint_then_resume_fig3(tmp_path, capsys):
-    path = str(tmp_path / "fig3.jsonl")
-    assert cli.main(["fig3", "--checkpoint", path]) == 0
+def test_cli_checkpoint_then_resume_table1(tmp_path, capsys, monkeypatch):
+    def coarse_table1(jobs, res, gp, mg, ge):
+        return table1.run_table1(
+            opens=COARSE_OPENS, n_r=4, n_u=3, jobs=jobs, resilience=res,
+            guard_policy=gp, check_marginal=mg, grid_engine=ge,
+        )
+
+    monkeypatch.setitem(cli._EXPERIMENTS, "table1", coarse_table1)
+    path = str(tmp_path / "table1.jsonl")
+    status = cli.main(["table1", "--checkpoint", path])
     first = capsys.readouterr().out
-    assert "[resilience] fig3: 0 failed" in first
+    assert "[resilience] table1: 0 failed" in first
     assert os.path.exists(path)
-    assert cli.main(["fig3", "--resume", path]) == 0
+    assert cli.main(["table1", "--resume", path]) == status
     second = capsys.readouterr().out
     assert "2 resumed from checkpoint" in second
     # the report body is identical; only the [resilience] line differs
@@ -380,12 +356,12 @@ def test_resilience_summary_formats_failures():
     par._session_log().retries = 2
     par._session_log().fallbacks = 1
     par._session_log().failures.append(UnitFailure(
-        key="survey|CELL|BIT_LINE|0r0|grid=abc|rows=3.0", index=4,
+        key="table1|CELL|grid=abc|ops=3|marginal=0", index=4,
         error_type="ValueError", message="boom", attempts=3, duration=0.5,
     ))
     lines = cli._resilience_summary("table1")
     assert lines[0].startswith("[resilience] table1: 1 failed, 2 retried")
     assert "1 ran in-process" in lines[0]
-    assert "FAILED survey|CELL|BIT_LINE|0r0" in lines[1]
+    assert "FAILED table1|CELL|grid=abc" in lines[1]
     assert "ValueError after 3 attempts (boom)" in lines[1]
     drain_resilience_log()

@@ -94,7 +94,9 @@ class TestQueueQuota:
 class TestRateLimitOverHTTP:
     def test_burst_429_retry_after_then_success(self, register_experiment):
         register_experiment("svc-rate")
-        with _service(rate_limit=50.0, rate_burst=2) as service:
+        # One token per 0.5 s: the three submissions below land well
+        # inside one refill interval even on a loaded host.
+        with _service(rate_limit=2.0, rate_burst=2) as service:
             client = ServiceClient(service.url, client_id="alice")
             client.submit({"experiment": "svc-rate"})
             client.submit({"experiment": "svc-rate"})

@@ -242,6 +242,80 @@ class TestInProcessRecovery:
             second.journal.close()
             second._httpd.server_close()
 
+    def test_cancel_request_on_a_running_job_survives_a_crash(
+        self, tmp_path, register_experiment
+    ):
+        # Submit, claim, cancel, die: the journaled cancel request must
+        # keep the job from running again after the restart.
+        register_experiment("svc-recover")
+        first = _quiet_service(tmp_path)
+        try:
+            job, _ = first.queue.submit(JobSpec(experiment="svc-recover"))
+            assert first.queue.claim(timeout=1.0) is job
+            first.queue.cancel(job.id)
+            assert job.state is JobState.RUNNING and job.cancel_requested
+        finally:
+            first.journal.close()
+            first._httpd.server_close()
+
+        second = _quiet_service(tmp_path)
+        try:
+            second.recover()
+            assert second.queue.get(job.id).state is JobState.CANCELLED
+            assert second.journal.replay() == []
+        finally:
+            second.journal.close()
+            second._httpd.server_close()
+
+    @pytest.mark.parametrize("dies_at", ["readmission", "cancel"])
+    def test_cancel_request_survives_compaction_and_a_kill_in_recovery(
+        self, tmp_path, register_experiment, dies_at
+    ):
+        register_experiment("svc-recover")
+        first = _quiet_service(tmp_path)
+        try:
+            job, _ = first.queue.submit(JobSpec(experiment="svc-recover"))
+            assert first.queue.claim(timeout=1.0) is job
+            first.queue.cancel(job.id)
+            first.queue.compact_journal()
+            (entry,) = first.journal.replay()
+            assert entry.in_flight and entry.cancel_requested
+        finally:
+            first.journal.close()
+            first._httpd.server_close()
+
+        # The restart dies right after re-admitting the job (its fresh
+        # submit record must not drop the pending request), or after
+        # the startup compaction, just before cancelling it.
+        second = _quiet_service(tmp_path)
+        readmit = second.queue.submit
+
+        def readmit_then_die(*args, **kwargs):
+            readmit(*args, **kwargs)
+            raise _Killed()
+
+        def die(*args, **kwargs):
+            raise _Killed()
+
+        if dies_at == "readmission":
+            second.queue.submit = readmit_then_die
+        else:
+            second.queue.cancel = die
+        try:
+            with pytest.raises(_Killed):
+                second.recover()
+        finally:
+            second.journal.close()
+            second._httpd.server_close()
+
+        third = _quiet_service(tmp_path)
+        try:
+            third.recover()
+            assert third.queue.get(job.id).state is JobState.CANCELLED
+        finally:
+            third.journal.close()
+            third._httpd.server_close()
+
     def test_startup_compacts_settled_history(
         self, tmp_path, register_experiment
     ):

@@ -19,7 +19,6 @@ from repro.io import (
     dump_open_inventory,
     dump_region_map,
     dump_signature_database,
-    dump_survey_unit,
     dumps_march,
     load_finding,
     load_fp,
@@ -27,7 +26,6 @@ from repro.io import (
     load_open_inventory,
     load_region_map,
     load_signature_database,
-    load_survey_unit,
     loads_march,
 )
 from repro.march.library import ALL_TESTS, IFA_13, MARCH_PF_PLUS
@@ -151,26 +149,6 @@ class TestCheckpointCodecs:
             detail="solver guard 'nan' tripped: non-finite node voltage",
         )
 
-    def test_survey_unit_roundtrip(self):
-        point = self._quarantined_point()
-        unit_result = ([self._finding()], (3, 1), (10, 2), [point])
-        data = json.loads(json.dumps(dump_survey_unit(unit_result)))
-        findings, observation, propagator, quarantined = load_survey_unit(data)
-        assert len(findings) == 1 and findings[0].ffm is FFM.RDF0
-        assert observation == (3, 1) and propagator == (10, 2)
-        assert quarantined == [point]
-
-    def test_survey_unit_accepts_pre_guard_3_tuple(self):
-        # Checkpoints written before the guard-rail release have no
-        # quarantine list; both dumping and loading them must still work.
-        unit_result = ([self._finding()], (3, 1), (10, 2))
-        data = json.loads(json.dumps(dump_survey_unit(unit_result)))
-        del data["quarantined"]  # simulate an old stored line
-        findings, observation, propagator, quarantined = load_survey_unit(data)
-        assert len(findings) == 1
-        assert observation == (3, 1) and propagator == (10, 2)
-        assert quarantined == []
-
     def test_quarantined_point_roundtrip(self):
         from repro.io import dump_quarantined_point, load_quarantined_point
 
@@ -211,9 +189,7 @@ class TestCheckpointCodecs:
     def test_codec_table_is_consistent(self):
         for name, (dump, load) in CHECKPOINT_CODECS.items():
             assert callable(dump) and callable(load), name
-        assert {"json", "region-map", "survey-unit", "table1-open"} <= set(
-            CHECKPOINT_CODECS
-        )
+        assert set(CHECKPOINT_CODECS) == {"json", "table1-open"}
 
 
 class TestCheckpointStore:
@@ -226,12 +202,14 @@ class TestCheckpointStore:
             "alpha": True, "beta": [1, 2.5, "x"],
         }
 
-    def test_region_map_codec(self, tmp_path):
-        region = FPRegionMap((1.0,), (0.0,), ((FFM.SF0,),))
+    def test_table1_open_codec(self, tmp_path):
+        from repro.experiments.table1 import InventoryRow
+
+        result = ([InventoryRow(FFM.SF0, FFM.SF1, 1, None, "Memory cell")], [])
         path = str(tmp_path / "store.jsonl")
         with CheckpointStore(path) as store:
-            store.record("map", region, codec="region-map")
-        assert CheckpointStore(path).load() == {"map": region}
+            store.record("open", result, codec="table1-open")
+        assert CheckpointStore(path).load() == {"open": result}
 
     def test_duplicate_keys_last_wins(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
