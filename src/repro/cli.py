@@ -14,11 +14,12 @@ Installed as ``repro-partial-faults``::
     repro-partial-faults diagnosis     # fault-dictionary diagnosis
     repro-partial-faults all           # everything
 
-``--jobs N`` fans table1 out over N worker processes, one open per
-unit; the output is identical for any N (see ``docs/PERFORMANCE.md``).
-It defaults to one worker per usable core, at most one per open.  The
-other experiments run in process; passing ``--jobs`` or a resilience
-flag with them prints a one-line notice.
+``--jobs N`` fans table1, escapes and diagnosis out over N worker
+processes, one open location per unit; the output is identical for any
+N (see ``docs/PERFORMANCE.md``).  It defaults to one worker per usable
+core, at most one per location.  The other experiments run in process;
+passing ``--jobs`` or a resilience flag with them, or a resilience flag
+with escapes or diagnosis, prints a one-line notice.
 
 Resilience flags (any of them enables the recovery layer of
 ``docs/ROBUSTNESS.md`` for table1)::
@@ -131,11 +132,11 @@ from .telemetry import events as event_log
 from .telemetry import profiled
 
 #: Experiment runners; each takes the ``--jobs`` worker count (``None``
-#: when not given: table1's own default), the resilience configuration,
-#: the guard options and the grid-engine switch (the experiments without
-#: a parallel fan-out / solver surface simply ignore them) and returns
-#: the experiment's result object (``.report`` carries the rendered
-#: output).
+#: when not given: the fanned experiment's own default), the resilience
+#: configuration, the guard options and the grid-engine switch (the
+#: experiments without a parallel fan-out / solver surface simply ignore
+#: them) and returns the experiment's result object (``.report`` carries
+#: the rendered output).
 _EXPERIMENTS: Dict[
     str, Callable[[Optional[int], object, object, bool, bool], object]
 ] = {
@@ -157,16 +158,20 @@ _EXPERIMENTS: Dict[
     "bridges": lambda jobs, res, gp, mg, ge: bridges.run_bridges(),
     "retention": lambda jobs, res, gp, mg, ge: retention.run_retention(),
     "escapes": lambda jobs, res, gp, mg, ge: escapes.run_escapes(
-        grid_engine=ge
+        grid_engine=ge, jobs=jobs
     ),
     "diagnosis": lambda jobs, res, gp, mg, ge: diagnosis.run_diagnosis(
-        grid_engine=ge
+        grid_engine=ge, jobs=jobs
     ),
 }
 
-#: Experiments with a worker-process fan-out: ``--jobs`` and the
+#: Experiments with a worker-process fan-out: ``--jobs`` applies to
+#: these only.
+_FANNED = frozenset({"diagnosis", "escapes", "table1"})
+
+#: Fanned experiments whose units retry, time out and checkpoint: the
 #: resilience flags apply to these only.
-_FANNED = frozenset({"table1"})
+_RESILIENT = frozenset({"table1"})
 
 #: Experiments whose runners accept ``--guard-policy`` (the rest never
 #: touch the analog solver, or only through these).
@@ -207,6 +212,15 @@ def _probe_writable(path: str) -> None:
             os.remove(path)
         except OSError:
             pass
+
+
+def _ignored(flags: List[str]) -> str:
+    """``"--a is ignored"`` or ``"--a and --b are ignored"``."""
+    return (
+        " and ".join(flags)
+        + (" is" if len(flags) == 1 else " are")
+        + " ignored"
+    )
 
 
 def _resilience_summary(name: str) -> List[str]:
@@ -942,10 +956,10 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for table1, one open per unit; the "
-        "output is identical for any N (default: one per usable core, "
-        "at most one per open); the other experiments run in process "
-        "and print a notice",
+        help="worker processes for table1, escapes and diagnosis, one "
+        "open location per unit; the output is identical for any N "
+        "(default: one per usable core, at most one per location); the "
+        "other experiments run in process and print a notice",
     )
     parser.add_argument(
         "--checkpoint",
@@ -1023,10 +1037,11 @@ def main(argv=None) -> int:
         or args.max_retries is not None
         or args.unit_timeout is not None
     )
-    # The flags only a fanned experiment reads, as the user gave them.
-    fan_out_flags = [
+    # The flags only a fanned (resilient) experiment reads, as the user
+    # gave them.
+    jobs_flags = [f"--jobs {args.jobs}"] if (args.jobs or 1) > 1 else []
+    resilience_given = [
         flag for flag, given in (
-            (f"--jobs {args.jobs}", (args.jobs or 1) > 1),
             ("--checkpoint", args.checkpoint is not None),
             ("--resume", args.resume is not None),
             ("--max-retries", args.max_retries is not None),
@@ -1072,13 +1087,20 @@ def main(argv=None) -> int:
 
     def run_experiments() -> None:
         for name in names:
-            if fan_out_flags and name not in _FANNED:
+            if name not in _FANNED and jobs_flags + resilience_given:
                 print(
                     f"[note] {name} has no parallel fan-out; "
-                    + " and ".join(fan_out_flags)
-                    + (" is" if len(fan_out_flags) == 1 else " are")
-                    + " ignored and it runs serially (fanned experiments: "
+                    + _ignored(jobs_flags + resilience_given)
+                    + " and it runs serially (fanned experiments: "
                     + ", ".join(sorted(_FANNED)) + ")"
+                )
+                print()
+            elif name not in _RESILIENT and resilience_given:
+                print(
+                    f"[note] {name} has no unit recovery; "
+                    + _ignored(resilience_given)
+                    + " (resilient experiments: "
+                    + ", ".join(sorted(_RESILIENT)) + ")"
                 )
                 print()
             if guard_policy is not None and name not in _GUARDED:
@@ -1104,7 +1126,7 @@ def main(argv=None) -> int:
                 print()
             start = time.perf_counter()
             result = _EXPERIMENTS[name](
-                args.jobs, resilience if name in _FANNED else None,
+                args.jobs, resilience if name in _RESILIENT else None,
                 guard_policy, args.check_marginal,
                 not args.no_grid_engine,
             )
@@ -1112,7 +1134,7 @@ def main(argv=None) -> int:
             report = getattr(result, "report", result)
             print(report.render())
             print()
-            if resilience is not None and name in _FANNED:
+            if resilience is not None and name in _RESILIENT:
                 for line in _resilience_summary(name):
                     print(line)
                 print()

@@ -141,9 +141,13 @@ class SignatureDatabase:
     """Fault dictionary: signatures of simulated defects.
 
     The dictionary is built in one lane-stacked march run over every
-    entry (:func:`~repro.march.simulator.run_march_lanes`);
-    ``grid_engine=False`` simulates one defect at a time instead, with
-    identical signatures.
+    entry (:func:`~repro.march.simulator.run_march_lanes`: one work unit
+    per location, on ``jobs`` forked workers; ``1`` runs in process,
+    ``None`` takes one worker per usable core); ``grid_engine=False``
+    simulates one defect at a time instead, with identical signatures.
+    ``devices`` join the run beside the entries of their location, and
+    their signatures land in :attr:`device_signatures`, equal to
+    :meth:`signatures_of` ``(devices)`` without a second run.
     """
 
     def __init__(
@@ -154,13 +158,17 @@ class SignatureDatabase:
         points_per_decade: int = 2,
         locations: Optional[Sequence[OpenLocation]] = None,
         grid_engine: bool = True,
+        devices: Sequence[Optional[OpenDefect]] = (),
+        jobs: Optional[int] = 1,
     ) -> None:
         self.test = test
         self.technology = technology
         self.n_rows = n_rows
         self.grid_engine = grid_engine
         self._entries: List[Tuple[Signature, OpenLocation, float]] = []
-        self._build(points_per_decade, locations or tuple(OpenLocation))
+        self.device_signatures = self._build(
+            points_per_decade, locations or tuple(OpenLocation), devices, jobs
+        )
 
     @property
     def presets(self) -> Tuple[float, float]:
@@ -170,8 +178,14 @@ class SignatureDatabase:
     # -- construction ---------------------------------------------------------
 
     def _build(
-        self, points_per_decade: int, locations: Sequence[OpenLocation]
-    ) -> None:
+        self,
+        points_per_decade: int,
+        locations: Sequence[OpenLocation],
+        devices: Sequence[Optional[OpenDefect]],
+        jobs: Optional[int],
+    ) -> List[Signature]:
+        """Simulate the log-R grid over ``locations`` beside ``devices``;
+        keep the grid's non-empty signatures and return the devices'."""
         defects: List[OpenDefect] = []
         for location in locations:
             lo, hi = _R_RANGES[location]
@@ -182,11 +196,21 @@ class SignatureDatabase:
                     n_points - 1
                 )
                 defects.append(OpenDefect(location, 10 ** log_r))
-        for defect, signature in zip(defects, self.signatures_of(defects)):
+        population = defects + list(devices)
+        if self.grid_engine:
+            (lanes,) = run_march_lanes(
+                (self.test,), population, self.presets, self.technology,
+                self.n_rows, jobs=jobs,
+            )
+            signatures = [self._signature(results) for results in lanes]
+        else:
+            signatures = self.signatures_of(population)
+        for defect, signature in zip(defects, signatures):
             if signature:
                 self._entries.append(
                     (signature, defect.location, defect.resistance)
                 )
+        return signatures[len(defects):]
 
     def _signature(self, results: Sequence[MarchResult]) -> Signature:
         """Normalize one device's per-preset march results."""
@@ -217,13 +241,11 @@ class SignatureDatabase:
         """Signatures of many devices, in one lane-stacked march run."""
         if not self.grid_engine:
             return [self.signature_of(defect) for defect in defects]
-        return [
-            self._signature(results)
-            for results in run_march_lanes(
-                self.test, defects, self.presets, self.technology,
-                self.n_rows,
-            )
-        ]
+        (lanes,) = run_march_lanes(
+            (self.test,), defects, self.presets, self.technology,
+            self.n_rows,
+        )
+        return [self._signature(results) for results in lanes]
 
     # -- lookup ----------------------------------------------------------------------
 

@@ -47,31 +47,22 @@ def run_diagnosis(
     points_per_decade: int = 2,
     grid_engine: bool = True,
     locations: Optional[Sequence[OpenLocation]] = None,
+    jobs: Optional[int] = None,
 ) -> DiagnosisExperimentResult:
     """Build the fault dictionary and measure diagnosis accuracy.
 
-    The dictionary and the trials each run as one lane-stacked march
-    (:meth:`SignatureDatabase.signatures_of`); ``grid_engine=False``
-    simulates one device at a time, with an identical report.
-    ``locations`` restricts both the dictionary and the injected defects
-    (default: all nine opens).
+    The dictionary and the trials run as one lane-stacked march
+    (:class:`SignatureDatabase` with ``devices``): one work unit per open
+    location, on ``jobs`` forked workers (``None``: one per usable core,
+    :func:`repro.parallel.default_jobs`; ``1``: in process).
+    ``grid_engine=False`` simulates one device at a time, in process,
+    with an identical report.  ``locations`` restricts both the
+    dictionary and the injected defects (default: all nine opens).
     """
     report = ExperimentReport(
         "Extension — defect diagnosis from fail signatures"
     )
     opens = tuple(locations or OpenLocation)
-    database = SignatureDatabase(
-        technology=technology, points_per_decade=points_per_decade,
-        locations=opens, grid_engine=grid_engine,
-    )
-    scope = (
-        "all nine opens" if locations is None else f"{len(opens)} opens"
-    )
-    report.add_block(
-        f"fault dictionary: {database.size} signatures "
-        f"({points_per_decade} points/decade over {scope})"
-    )
-
     rng = random.Random(seed)
     injected: List[OpenDefect] = []
     for _ in range(n_trials):
@@ -81,13 +72,24 @@ def run_diagnosis(
             math.log10(lo * 2), math.log10(hi / 2)
         )
         injected.append(OpenDefect(location, resistance))
+    database = SignatureDatabase(
+        technology=technology, points_per_decade=points_per_decade,
+        locations=opens, grid_engine=grid_engine, devices=injected,
+        jobs=jobs,
+    )
+    scope = (
+        "all nine opens" if locations is None else f"{len(opens)} opens"
+    )
+    report.add_block(
+        f"fault dictionary: {database.size} signatures "
+        f"({points_per_decade} points/decade over {scope})"
+    )
+
     rows: List[Tuple[str, str, str, str]] = []
     hits = 0
     trials = 0
     benign = 0
-    for defect, signature in zip(
-        injected, database.signatures_of(injected)
-    ):
+    for defect, signature in zip(injected, database.device_signatures):
         location, resistance = defect.location, defect.resistance
         result = database.diagnose(signature)
         if result.healthy:

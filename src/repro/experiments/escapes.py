@@ -101,13 +101,16 @@ def run_escapes(
     seed: int = 2002,
     n_rows: int = 3,
     grid_engine: bool = True,
+    jobs: Optional[int] = None,
 ) -> EscapeResult:
     """Run the Monte-Carlo escape analysis.
 
-    Each test screens the whole population in one lane-stacked run
-    (:func:`~repro.march.simulator.run_march_lanes`); ``grid_engine=False``
-    screens one defect and preset at a time instead.  The report is
-    identical either way.
+    Every test screens the whole population in one lane-stacked run
+    (:func:`~repro.march.simulator.run_march_lanes`): one work unit per
+    open location, on ``jobs`` forked workers (``None``: one per usable
+    core, :func:`repro.parallel.default_jobs`; ``1``: in process).
+    ``grid_engine=False`` screens one defect and preset at a time, in
+    process, instead.  The report is identical either way.
     """
     defects = sample_defects(n_defects, seed=seed)
     # A tester cannot control floating nodes: guaranteed screening means
@@ -118,16 +121,17 @@ def run_escapes(
     )
     # screened[test][i]: per-preset verdicts of defect i.
     screened: Dict[str, List[List[bool]]] = {}
-    for test in tests:
-        if grid_engine:
+    if grid_engine:
+        lanes = run_march_lanes(
+            tests, defects, presets, technology, n_rows,
+            stop_at_first=True, jobs=jobs,
+        )
+        for test, rows in zip(tests, lanes):
             screened[test.name] = [
-                [result.detected for result in row]
-                for row in run_march_lanes(
-                    test, defects, presets, technology, n_rows,
-                    stop_at_first=True,
-                )
+                [result.detected for result in row] for row in rows
             ]
-        else:
+    else:
+        for test in tests:
             screened[test.name] = [
                 [
                     _screen(test, defect, preset, technology, n_rows)

@@ -5,12 +5,13 @@
 machines, the electrical column model) and reports every read whose value
 differs from the march-expected one.
 
-:func:`run_march_lanes` runs one march over a whole population of open
+:func:`run_march_lanes` runs marches over a whole population of open
 defects on the electrical model at once: a march applies the same
 operation schedule to every defect and only records read mismatches, so
 defects at one location advance in lock-step as members of a
 :class:`~repro.circuit.column.GridBatch`, with the floating presets as
-lanes.  Its results equal :func:`run_march` on each defect's
+lanes.  Each location is one work unit, run in process or on a forked
+worker.  Its results equal :func:`run_march` on each defect's
 :class:`~repro.memory.simulator.ElectricalMemory`, which stays the
 oracle.
 
@@ -155,62 +156,117 @@ def _run_point(
 
 
 def run_march_lanes(
-    test: MarchTest,
+    tests: Sequence[MarchTest],
     defects: Sequence[Optional[OpenDefect]],
     presets: Sequence[float],
     technology: Optional[Technology] = None,
     n_rows: int = 3,
     stop_at_first: bool = False,
     either_as: Direction = Direction.UP,
-) -> List[Tuple[MarchResult, ...]]:
-    """Run a march over a defect population, under every floating preset.
+    jobs: Optional[int] = 1,
+) -> List[List[Tuple[MarchResult, ...]]]:
+    """Run marches over a defect population, under every floating preset.
 
-    ``results[i][j]`` is the :class:`MarchResult` of ``defects[i]`` with
-    every floating node preset to ``presets[j]``: the same value
-    :func:`run_march` returns on that defect's
+    ``results[t][i][j]`` is the :class:`MarchResult` of ``tests[t]`` on
+    ``defects[i]`` with every floating node preset to ``presets[j]``: the
+    same value :func:`run_march` returns on that defect's
     :class:`~repro.memory.simulator.ElectricalMemory`, first mismatch and
     ``operations`` included, and the ``march.*`` counters advance as if
     it had run.
 
-    Open defects sharing ``(location, row)`` run as one
-    :class:`~repro.circuit.column.GridBatch`: members are the
-    resistances, lanes the presets.  A word-line open puts its resistance
-    in the gate dynamics, so there every ``(defect, preset)`` point is a
-    width-1 member with a private gate.  With ``stop_at_first`` a member
-    retires once all its lanes have failed.  Everything the batch cannot
-    carry runs through :func:`run_march` per point: members demoted by a
-    solver guard trip, tests with ``Del`` elements (the batch has no idle
-    leakage), and defects that are not true-line opens (``None`` is the
+    Open defects sharing ``(location, row)`` form one work unit
+    (:func:`_group_unit`): each test in turn runs them as one
+    :class:`~repro.circuit.column.GridBatch`, members the resistances,
+    lanes the presets.  A word-line open puts its resistance in the gate
+    dynamics, so there every ``(defect, preset)`` point is a width-1
+    member with a private gate.  With ``stop_at_first`` a member retires
+    once all its lanes have failed.  ``jobs`` forked worker processes run
+    the units, the costliest first (:func:`_unit_cost`); ``jobs=1`` runs
+    them in process and ``None`` takes one worker per usable core
+    (:func:`repro.parallel.default_jobs`).  A caller that cannot fork
+    safely (:func:`repro.parallel.fork_safe`: other threads are running,
+    as in the sweep service) runs them in process whatever ``jobs`` is.
+    Results are filed by population index and telemetry merges in unit
+    order, so the result is identical for any ``jobs``.  Everything the
+    batch cannot carry runs through :func:`run_march` per point: members
+    demoted by a solver guard trip (inside their unit), and, in the
+    calling process, tests with ``Del`` elements (the batch has no idle
+    leakage) and defects that are not true-line opens (``None`` is the
     healthy device).
     """
+    from ..parallel import default_jobs, fork_safe, parallel_map_ex
+
+    tests = tuple(tests)
     if not presets:
-        return [() for _ in defects]
-    results: List[List[Optional[MarchResult]]] = [
-        [None] * len(presets) for _ in defects
+        return [[() for _ in defects] for _ in tests]
+    results: List[List[List[Optional[MarchResult]]]] = [
+        [[None] * len(presets) for _ in defects] for _ in tests
     ]
+    stacked = [t for t, test in enumerate(tests) if not test.pauses]
     groups: Dict[Tuple[OpenLocation, int], List[int]] = {}
     for i, defect in enumerate(defects):
-        if (
-            not test.pauses
-            and isinstance(defect, OpenDefect)
-            and defect.on_true_line
-        ):
+        batched = isinstance(defect, OpenDefect) and defect.on_true_line
+        if batched and stacked:
             groups.setdefault((defect.location, defect.row), []).append(i)
-            continue
-        for j, preset in enumerate(presets):
-            results[i][j] = _run_point(
-                test, defect, preset, technology, n_rows, stop_at_first,
-                either_as,
-            )
-    for indices in groups.values():
-        group = [defects[i] for i in indices]
-        lane_results = _run_group(
-            test, group, presets, technology, n_rows, stop_at_first,
+        for t, test in enumerate(tests):
+            if batched and not test.pauses:
+                continue
+            for j, preset in enumerate(presets):
+                results[t][i][j] = _run_point(
+                    test, defect, preset, technology, n_rows,
+                    stop_at_first, either_as,
+                )
+    units = [[defects[i] for i in indices] for indices in groups.values()]
+    if jobs is None:
+        jobs = default_jobs(len(units))
+    elif not fork_safe():
+        jobs = 1
+    outcome = parallel_map_ex(
+        _group_unit,
+        [
+            ([tests[t] for t in stacked], group, presets, technology, n_rows,
+             stop_at_first, either_as)
+            for group in units
+        ],
+        jobs=jobs,
+        strict=True,
+        costs=[_unit_cost(group) for group in units],
+    )
+    for indices, per_test in zip(groups.values(), outcome.results):
+        for t, lane_results in zip(stacked, per_test):
+            for (g, j), result in lane_results.items():
+                results[t][indices[g]][j] = result
+    return [[tuple(row) for row in per_test] for per_test in results]
+
+
+def _group_unit(payload) -> List[Dict[Tuple[int, int], MarchResult]]:
+    """The work unit of :func:`run_march_lanes`: every test, in turn, over
+    one ``(location, row)`` group.  A pure function of its payload, so a
+    worker process reproduces the in-process result exactly."""
+    tests, defects, presets, technology, n_rows, stop_at_first, either_as = (
+        payload
+    )
+    return [
+        _run_group(
+            test, defects, presets, technology, n_rows, stop_at_first,
             either_as,
         )
-        for (g, j), result in lane_results.items():
-            results[indices[g]][j] = result
-    return [tuple(row) for row in results]
+        for test in tests
+    ]
+
+
+def _unit_cost(defects: Sequence[OpenDefect]) -> float:
+    """Relative run time of one group's unit, to start the longest first.
+
+    Phases cost most of a group's time whatever its size, and a
+    word-line member's floating gate moves in every phase, so its batch
+    rebuilds the stacked propagators other groups find in their memo.
+    March PF+ over one group of 1 to 32 defects (2-core host) took 5-10
+    times as long on the word line as on any other open, and one defect
+    took a third of what 32 took.
+    """
+    weight = 10.0 if defects[0].location is OpenLocation.WORD_LINE else 1.0
+    return weight * (10 + len(defects))
 
 
 def _run_group(

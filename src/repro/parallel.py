@@ -1,11 +1,22 @@
-"""Process-parallel orchestration of Table 1's per-open work units.
+"""Process-parallel orchestration of per-location work units.
 
-Table 1 is the one experiment that fans out: one open per unit (its
-surveys, completion searches and marginal checks, on one analyzer; see
-:func:`repro.experiments.table1.run_table1`).  Figs. 3/4 and the march
-cross-validation are too small to gain from worker processes and run
-in process.  Every unit is a *pure function* of its pickled payload: a
-worker rebuilds its analyzer from an :class:`AnalyzerSpec`, runs, and
+Two fan-outs use it, each with one work unit per open location:
+
+* Table 1 (:func:`repro.experiments.table1.run_table1`): one open's
+  surveys, completion searches and marginal checks, on one analyzer
+  rebuilt from an :class:`AnalyzerSpec`;
+* lane-stacked march populations
+  (:func:`repro.march.simulator.run_march_lanes`, which the escape
+  screen and the diagnosis dictionary run): every test, in turn, over
+  the defects of one ``(location, row)`` group, as one lock-step batch.
+
+Both win on a multi-core host because each fan-out holds about a second
+of work, in units that share nothing: a Table 1 open takes 0.02-0.4 s
+and a march unit 0.04-0.65 s (2-core host; layers 3 and 3b of
+``docs/PERFORMANCE.md``).  Figs. 3/4 and the march cross-validation are
+too small to gain from worker processes (a region map is tens of
+milliseconds, less than forking a worker) and run in process.  Every
+unit is a *pure function* of its pickled payload: a worker runs it and
 returns plain result objects.  That purity is what makes ``--jobs N``
 deterministic: the result of a unit does not depend on which worker ran
 it, how warm that worker's propagator cache was, or in what order units
@@ -38,7 +49,9 @@ governed by a :class:`RetryPolicy`:
 
 A unit that fails even the fallback is surfaced as a structured
 :class:`UnitFailure` (in :class:`MapOutcome` and the CLI's
-``[resilience]`` summary), not as a bare traceback.
+``[resilience]`` summary), not as a bare traceback.  Only Table 1 takes
+a policy and a checkpoint store; the march fan-out is strict, so its
+first unit error propagates to the caller.
 
 Telemetry: each worker records into its own process-global registry
 (reset before every unit) and ships the snapshot back with the result;
@@ -95,6 +108,7 @@ __all__ = [
     "MapOutcome",
     "ResilienceLog",
     "default_jobs",
+    "fork_safe",
     "drain_resilience_log",
     "parallel_map_ex",
     "add_progress_listener",
@@ -396,21 +410,23 @@ def _fork_context():
         return None
 
 
+def fork_safe() -> bool:
+    """Whether this process can fork workers safely: it can fork at all,
+    and no other thread is running (a forked child inherits their locks
+    in whatever state they are)."""
+    return _fork_context() is not None and threading.active_count() <= 1
+
+
 def default_jobs(n_units: int) -> int:
     """Worker count of a fan-out run without an explicit ``jobs``.
 
     One worker per usable core, at most one per unit.  Runs stay
-    in-process where workers cannot fork, or cannot fork safely because
-    other threads are running (a forked child inherits their locks in
-    whatever state they are), and while a solver fault hook
-    (:mod:`repro.inject`) is installed: the hook counts its solves and
-    fires in its own process, so workers would each count their own.
+    in-process where workers cannot fork safely (:func:`fork_safe`),
+    and while a solver fault hook (:mod:`repro.inject`) is installed:
+    the hook counts its solves and fires in its own process, so workers
+    would each count their own.
     """
-    if (
-        _fork_context() is None
-        or threading.active_count() > 1
-        or circuit_network._FAULT_HOOK is not None
-    ):
+    if not fork_safe() or circuit_network._FAULT_HOOK is not None:
         return 1
     try:
         cores = len(os.sched_getaffinity(0))

@@ -133,13 +133,13 @@ def _run_march(spec: "JobSpec", resilience: Any) -> Any:
 def _run_escapes(spec: "JobSpec", resilience: Any) -> Any:
     from ..experiments.escapes import run_escapes
 
-    return run_escapes(grid_engine=spec.grid_engine)
+    return run_escapes(grid_engine=spec.grid_engine, jobs=spec.jobs)
 
 
 def _run_diagnosis(spec: "JobSpec", resilience: Any) -> Any:
     from ..experiments.diagnosis import run_diagnosis
 
-    return run_diagnosis(grid_engine=spec.grid_engine)
+    return run_diagnosis(grid_engine=spec.grid_engine, jobs=spec.jobs)
 
 
 def _plain_runner(module: str, func: str) -> Callable[["JobSpec", Any], Any]:
@@ -219,7 +219,10 @@ class JobSpec:
     technology: Optional[Tuple[Tuple[str, float], ...]] = None
     #: Execution hints — identical results for any value (docs/PERFORMANCE.md),
     #: therefore NOT part of the content address.  ``jobs`` applies to
-    #: ``table1`` jobs only; the other experiments run in process.
+    #: ``table1``, ``escapes`` and ``diagnosis`` jobs (the default, 1,
+    #: runs them in the job's own process; ``escapes`` and ``diagnosis``
+    #: stay there whenever other threads run beside the job); the other
+    #: experiments run in process.
     jobs: int = 1
     grid_engine: bool = True
 
@@ -651,7 +654,8 @@ def result_payload(spec: JobSpec, result: Any) -> Dict[str, Any]:
     off) output, and wall times have no place in a content-addressed
     document anyway.  Structured extras ride along per experiment:
     ``table1`` adds its inventory rows (completed FPs via the
-    :mod:`repro.io` codec) and any quarantined grid points.
+    :mod:`repro.io` codec), and a guarded experiment
+    (``table1``/``fig3``/``fig4``/``march``) any points it quarantined.
     """
     report = getattr(result, "report", result)
     with _RENDER_LOCK:
@@ -698,6 +702,18 @@ def result_payload(spec: JobSpec, result: Any) -> Dict[str, Any]:
     quarantined = getattr(result, "quarantined", None)
     if quarantined:
         payload["quarantined"] = [
-            dump_quarantined_point(point) for point in quarantined
+            _quarantined_json(point) for point in quarantined
         ]
     return payload
+
+
+def _quarantined_json(point: Any) -> Any:
+    """One quarantined entry as JSON: a Table 1 grid point with its
+    replay context, a Fig. 3/4 ``(r, u)`` grid point, or a march
+    cross-validation ``"<test>: <defect point>"`` label."""
+    if isinstance(point, tuple):
+        r_def, u = point
+        return {"r_def": float(r_def), "u": float(u)}
+    if isinstance(point, str):
+        return point
+    return dump_quarantined_point(point)

@@ -143,3 +143,40 @@ class TestEngines:
         grid = run_diagnosis(locations=THREE)
         scalar = run_diagnosis(locations=THREE, grid_engine=False)
         assert grid.report.render() == scalar.report.render()
+
+    def test_report_is_identical_for_any_jobs(self):
+        kwargs = dict(locations=THREE, n_trials=12, points_per_decade=1)
+        scalar = run_diagnosis(grid_engine=False, **kwargs).report.render()
+        for jobs in (1, 2, None):
+            result = run_diagnosis(jobs=jobs, **kwargs)
+            assert result.report.render() == scalar, jobs
+
+    def test_dictionary_and_trials_share_one_run(self):
+        devices = [
+            OpenDefect(OpenLocation.CELL, 3e5),
+            None,
+            OpenDefect(OpenLocation.BL_SENSEAMP_IO, 2e8),
+        ]
+        database = SignatureDatabase(
+            points_per_decade=1, locations=THREE, devices=devices, jobs=2,
+        )
+        alone = SignatureDatabase(points_per_decade=1, locations=THREE)
+        assert alone.device_signatures == []
+        assert database._entries == alone._entries
+        assert database.device_signatures == alone.signatures_of(devices)
+
+    def test_default_run_makes_one_lock_step_run_per_location(
+        self, monkeypatch
+    ):
+        from repro.march import simulator
+
+        calls = []
+        real = simulator._run_group
+
+        def counting(test, defects, *args, **kwargs):
+            calls.append(defects[0].location)
+            return real(test, defects, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_run_group", counting)
+        run_diagnosis(jobs=1)
+        assert sorted(calls, key=lambda loc: loc.number) == list(OpenLocation)

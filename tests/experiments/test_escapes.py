@@ -59,13 +59,16 @@ class TestScreening:
         seen = []
         real = escapes.run_march_lanes
 
-        def spy(test, defects, presets, *args, **kwargs):
-            seen.append(tuple(presets))
-            return real(test, defects, presets, *args, **kwargs)
+        def spy(tests, defects, presets, *args, **kwargs):
+            seen.append((tuple(tests), tuple(presets)))
+            return real(tests, defects, presets, *args, **kwargs)
 
         monkeypatch.setattr(escapes, "run_march_lanes", spy)
-        run_escapes(n_defects=3, technology=corner, tests=(MATS_PLUS,))
-        assert seen == [(0.0, corner.vdd)]
+        run_escapes(
+            n_defects=3, technology=corner, tests=(MATS_PLUS, MARCH_B),
+            jobs=1,
+        )
+        assert seen == [((MATS_PLUS, MARCH_B), (0.0, corner.vdd))]
 
 
 ARMING_FREE = (MATS_PLUS, MARCH_B, MARCH_PF)
@@ -101,3 +104,10 @@ class TestExperiment:
         grid = run_escapes(n_defects=30)
         scalar = run_escapes(n_defects=30, grid_engine=False)
         assert grid.report.render() == scalar.report.render()
+
+    def test_report_is_identical_for_any_jobs(self):
+        kwargs = dict(n_defects=16, seed=5, tests=(MATS_PLUS, MARCH_PF_PLUS))
+        scalar = run_escapes(grid_engine=False, **kwargs).report.render()
+        for jobs in (1, 2, None):
+            result = run_escapes(jobs=jobs, **kwargs)
+            assert result.report.render() == scalar, jobs

@@ -77,5 +77,8 @@ class TestCLI:
         )
         assert main([name, "--no-grid-engine"]) == 0
         assert main([name]) == 0
-        assert seen == [{"grid_engine": False}, {"grid_engine": True}]
+        assert seen == [
+            {"grid_engine": False, "jobs": None},
+            {"grid_engine": True, "jobs": None},
+        ]
         assert "does not use the grid engine" not in capsys.readouterr().out

@@ -291,12 +291,52 @@ def test_cli_jobs_notice_for_non_fanned_experiment(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[note] fp-space has no parallel fan-out" in out
     assert "--jobs 2 is ignored" in out
-    assert "(fanned experiments: table1)" in out
+    assert "(fanned experiments: diagnosis, escapes, table1)" in out
     path = str(tmp_path / "ck.jsonl")
     assert cli.main(["fp-space", "--jobs", "2", "--checkpoint", path]) == 0
     out = capsys.readouterr().out
     assert "; --jobs 2 and --checkpoint are ignored" in out
     assert "[resilience]" not in out
+
+
+@pytest.mark.parametrize("name,func", [
+    ("escapes", "run_escapes"), ("diagnosis", "run_diagnosis"),
+])
+def test_cli_jobs_reaches_escapes_and_diagnosis(
+    tmp_path, capsys, monkeypatch, name, func
+):
+    import importlib
+    from types import SimpleNamespace
+
+    from repro.experiments.reporting import ExperimentReport
+
+    seen = []
+
+    def fake(**kwargs):
+        seen.append(kwargs)
+        report = ExperimentReport(name)
+        report.claim("c", "p", "m", True)
+        return SimpleNamespace(report=report)
+
+    monkeypatch.setattr(
+        importlib.import_module(f"repro.experiments.{name}"), func, fake
+    )
+    assert cli.main([name]) == 0
+    assert cli.main([name, "--jobs", "2"]) == 0
+    assert "[note]" not in capsys.readouterr().out
+    path = str(tmp_path / "ck.jsonl")
+    assert cli.main([name, "--jobs", "2", "--checkpoint", path]) == 0
+    out = capsys.readouterr().out
+    assert (
+        f"[note] {name} has no unit recovery; --checkpoint is ignored "
+        "(resilient experiments: table1)"
+    ) in out
+    assert "[resilience]" not in out
+    assert seen == [
+        {"grid_engine": True, "jobs": None},
+        {"grid_engine": True, "jobs": 2},
+        {"grid_engine": True, "jobs": 2},
+    ]
 
 
 def test_cli_default_output_has_no_notices(capsys):

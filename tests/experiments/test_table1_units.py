@@ -10,8 +10,6 @@ line per finished open and a resume skips those opens.
 import json
 import os
 
-import pytest
-
 import repro.parallel as par
 from repro import telemetry
 from repro.circuit.defects import OpenLocation
@@ -31,13 +29,6 @@ OPENS = (OpenLocation.CELL, OpenLocation.BL_PRECHARGE_CELLS,
 #: trips a guard in each of them.
 SAME_GRID = (OpenLocation.PRECHARGE, OpenLocation.BL_CELLS_REFERENCE,
              OpenLocation.SENSE_AMPLIFIER)
-
-
-@pytest.fixture(autouse=True)
-def _quiet_telemetry():
-    yield
-    telemetry.disable()
-    telemetry.reset()
 
 
 def test_pooled_run_matches_in_process_with_marginal_check():

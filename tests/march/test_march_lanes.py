@@ -1,12 +1,14 @@
 """The lane-stacked march runner agrees with the scalar oracle.
 
 :func:`repro.march.simulator.run_march_lanes` runs a defect population
-as :class:`~repro.circuit.column.GridBatch` members (presets as lanes);
-every ``(defect, preset)`` result must equal :func:`run_march` on that
-defect's :class:`~repro.memory.simulator.ElectricalMemory` — mismatch
-tuples, ``operations`` and the ``march.*`` counters alike — including
-when members retire early, when a solver guard trip demotes a member,
-and when both happen in one batch.
+as :class:`~repro.circuit.column.GridBatch` members (presets as lanes),
+one work unit per ``(location, row)`` group, in process or on forked
+workers; every ``(test, defect, preset)`` result must equal
+:func:`run_march` on that defect's
+:class:`~repro.memory.simulator.ElectricalMemory` — mismatch tuples,
+``operations`` and the ``march.*`` counters alike — including when
+members retire early, when a solver guard trip demotes a member, and
+when both happen in one batch.
 """
 
 import math
@@ -24,7 +26,7 @@ from repro.circuit.network import (
 )
 from repro.core.analysis import _R_RANGES
 from repro.march.library import IFA_13, MARCH_C_MINUS, MARCH_PF_PLUS, MATS_PLUS
-from repro.march.notation import Direction
+from repro.march.notation import Direction, parse_march
 from repro.march.simulator import run_march, run_march_lanes
 from repro.memory.simulator import ElectricalMemory
 
@@ -76,8 +78,8 @@ def test_lanes_equal_scalar_run_march(location, data):
                                       MARCH_PF_PLUS)))
     stop_at_first = data.draw(st.booleans())
     either_as = data.draw(st.sampled_from((Direction.UP, Direction.DOWN)))
-    lanes = run_march_lanes(
-        test, defects, PRESETS, stop_at_first=stop_at_first,
+    (lanes,) = run_march_lanes(
+        [test], defects, PRESETS, stop_at_first=stop_at_first,
         either_as=either_as,
     )
     assert lanes == scalar(test, defects, stop_at_first, either_as)
@@ -104,7 +106,7 @@ def test_march_counters_match_the_scalar_path(stop_at_first):
     ]
     names = ("march.runs", "march.operations", "march.elements_applied")
     lanes = _counted(lambda: run_march_lanes(
-        MARCH_C_MINUS, defects, PRESETS, stop_at_first=stop_at_first
+        [MARCH_C_MINUS], defects, PRESETS, stop_at_first=stop_at_first
     ))
     oracle = _counted(lambda: scalar(MARCH_C_MINUS, defects, stop_at_first))
     assert {n: lanes.get(n) for n in names} == {
@@ -117,11 +119,11 @@ def test_march_counters_match_the_scalar_path(stop_at_first):
 
 def test_healthy_device_and_pauses_run_scalar():
     defects = [None, OpenDefect(OpenLocation.CELL, 1e6)]
-    counters = _counted(lambda: run_march_lanes(IFA_13, defects, PRESETS))
+    counters = _counted(lambda: run_march_lanes([IFA_13], defects, PRESETS))
     assert counters.get("solver.grid_settles", 0) == 0
-    assert run_march_lanes(IFA_13, defects, PRESETS) == scalar(
+    assert run_march_lanes([IFA_13], defects, PRESETS) == [scalar(
         IFA_13, defects
-    )
+    )]
 
 
 def test_retire_drops_members_without_demoting():
@@ -195,8 +197,8 @@ def test_demotion_beside_retirement_keeps_rows_aligned(monkeypatch):
     _install_solver_fault_hook(hook)
     try:
         counters = _counted(lambda: results.extend(run_march_lanes(
-            MATS_PLUS, defects, PRESETS, stop_at_first=True
-        )))
+            [MATS_PLUS], defects, PRESETS, stop_at_first=True
+        )[0]))
     finally:
         _install_solver_fault_hook(None)
     assert poisoned == {b, d}
@@ -205,3 +207,139 @@ def test_demotion_beside_retirement_keeps_rows_aligned(monkeypatch):
     assert counters.get("column.grid_retired", 0) >= 1
     assert counters.get("march.runs") == len(defects) * len(PRESETS)
     assert scalar_solves, "demoted members must re-run on the scalar path"
+
+
+#: A population over four ``(location, row)`` groups, word line included,
+#: with a healthy device among them.
+POPULATION = [
+    OpenDefect(OpenLocation.BL_PRECHARGE_CELLS, 1e6),
+    OpenDefect(OpenLocation.WORD_LINE, 3e7),
+    None,
+    OpenDefect(OpenLocation.CELL, 3e5, row=1),
+    OpenDefect(OpenLocation.BL_PRECHARGE_CELLS, 3e3),
+    OpenDefect(OpenLocation.SENSE_AMPLIFIER, 1e5),
+    OpenDefect(OpenLocation.WORD_LINE, 1e8),
+]
+#: Bit-line writes, a pause (scalar path) and reads.
+DEL_PROBE = parse_march("{⇕(w1); Del; ⇕(r1,w0,r0)}", "Del probe")
+MARCH_NAMES = ("march.runs", "march.operations", "march.elements_applied")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("stop_at_first", [True, False])
+def test_several_tests_equal_one_call_per_test_and_the_oracle(
+    jobs, stop_at_first
+):
+    tests = (MATS_PLUS, DEL_PROBE, MARCH_C_MINUS)
+    results = []
+    together = _counted(lambda: results.extend(run_march_lanes(
+        tests, POPULATION, PRESETS, stop_at_first=stop_at_first, jobs=jobs,
+    )))
+    oracle = []
+    alone = _counted(lambda: oracle.extend(
+        scalar(test, POPULATION, stop_at_first) for test in tests
+    ))
+    assert results == oracle
+    assert results == [
+        run_march_lanes(
+            [test], POPULATION, PRESETS, stop_at_first=stop_at_first,
+        )[0]
+        for test in tests
+    ]
+    assert {n: together.get(n) for n in MARCH_NAMES} == {
+        n: alone.get(n) for n in MARCH_NAMES
+    }
+    if stop_at_first:
+        assert together.get("column.grid_retired", 0) > 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_guard_demotion_inside_a_unit_matches_the_oracle(jobs):
+    # One grid solve of one word-line member turns NaN; its unit
+    # demotes the member and re-runs it scalar, in whichever process
+    # runs the unit, and the demotion counts reach the caller.
+    target = POPULATION[6].resistance
+    tests = (MATS_PLUS, MARCH_C_MINUS)
+    expected = [scalar(test, POPULATION, True) for test in tests]
+    poisoned = []
+
+    def hook(voltages, info):
+        if not info.get("grid") or info.get("member_r") != target:
+            return voltages
+        if poisoned:
+            return voltages
+        poisoned.append(info)
+        out = np.array(voltages)
+        out[0, 0] = np.nan
+        return out
+
+    results = []
+    _install_solver_fault_hook(hook)
+    try:
+        counters = _counted(lambda: results.extend(run_march_lanes(
+            tests, POPULATION, PRESETS, stop_at_first=True, jobs=jobs,
+        )))
+    finally:
+        _install_solver_fault_hook(None)
+    assert results == expected
+    assert counters.get("column.grid_demotions") == 1
+    assert counters.get("march.runs") == (
+        len(tests) * len(POPULATION) * len(PRESETS)
+    )
+
+
+def test_word_line_unit_is_submitted_first(monkeypatch):
+    # The word-line group is the smallest here, and the last to appear,
+    # yet its gate dynamics make it the costliest unit.
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro import parallel
+
+    submitted = []
+
+    class Recording(ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args[1])  # (unit, payload, telemetry on)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Recording)
+    defects = [
+        OpenDefect(OpenLocation.BL_PRECHARGE_CELLS, r)
+        for r in (3e3, 1e5, 1e6, 3e6)
+    ] + [
+        OpenDefect(OpenLocation.SENSE_AMPLIFIER, 1e5),
+        OpenDefect(OpenLocation.WORD_LINE, 3e7),
+    ]
+    (results,) = run_march_lanes(
+        [MATS_PLUS], defects, PRESETS, stop_at_first=True, jobs=2
+    )
+    groups = [payload[1] for payload in submitted]
+    assert [group[0].location for group in groups] == [
+        OpenLocation.WORD_LINE, OpenLocation.BL_PRECHARGE_CELLS,
+        OpenLocation.SENSE_AMPLIFIER,
+    ]
+    assert results == scalar(MATS_PLUS, defects, stop_at_first=True)
+
+
+def test_threaded_caller_runs_in_process_whatever_jobs(monkeypatch):
+    # A served job runs beside the server's threads, whose locks a
+    # forked child would inherit in whatever state they are, so even an
+    # explicit jobs=2 keeps its units in the calling process.
+    import threading
+
+    from repro import parallel
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a threaded caller must not fork")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", NoPool)
+    results = []
+    caller = threading.Thread(target=lambda: results.extend(
+        run_march_lanes(
+            [MATS_PLUS], POPULATION, PRESETS, stop_at_first=True, jobs=2
+        )[0]
+    ))
+    caller.start()
+    caller.join()
+    assert results == scalar(MATS_PLUS, POPULATION, stop_at_first=True)

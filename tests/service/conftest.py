@@ -1,8 +1,8 @@
 """Shared fixtures for the sweep-service tests.
 
-The service switches process-global telemetry on; every test in this
-package restores the disabled/empty state afterwards so the rest of the
-suite (which asserts telemetry-off behaviour) is unaffected.
+The service switches process-global telemetry on; the suite-wide
+``_telemetry_clean`` fixture (``tests/conftest.py``) restores the
+disabled/empty state after every test.
 
 ``register_experiment`` installs throwaway experiment profiles into
 :data:`repro.service.jobs.SERVICE_EXPERIMENTS` so lifecycle tests can
@@ -15,16 +15,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import telemetry
 from repro.experiments.reporting import ExperimentReport
 from repro.service.jobs import SERVICE_EXPERIMENTS, ExperimentProfile
-
-
-@pytest.fixture(autouse=True)
-def _telemetry_clean():
-    yield
-    telemetry.disable()
-    telemetry.reset()
 
 
 def make_report(title="stub", block="stub output"):

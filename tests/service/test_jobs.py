@@ -1,12 +1,19 @@
 """JobSpec content addressing, validation, and result payloads."""
 
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from repro.circuit.defects import OpenLocation
+from repro.circuit.network import (
+    GuardPolicy,
+    _install_solver_fault_hook,
+    solver_guards_configure,
+)
 from repro.errors import SpecValidationError
+from repro.inject import SolverNaNInjector
 from repro.service.jobs import JobSpec, JobState, result_payload
 
 from .conftest import make_report
@@ -48,8 +55,14 @@ class TestContentAddress:
         profile = SERVICE_EXPERIMENTS[name]
         profile.run(replace(spec, grid_engine=False), None)
         profile.run(spec, None)
-        assert seen == [{"grid_engine": False}, {"grid_engine": True}]
+        profile.run(replace(spec, jobs=2), None)
+        assert seen == [
+            {"grid_engine": False, "jobs": 1},
+            {"grid_engine": True, "jobs": 1},
+            {"grid_engine": True, "jobs": 2},
+        ]
         assert replace(spec, grid_engine=False).address == spec.address
+        assert replace(spec, jobs=2).address == spec.address
 
     def test_grid_change_changes_the_address(self):
         base = JobSpec("table1", opens=("CELL",), n_r=4, n_u=3)
@@ -235,6 +248,47 @@ class TestResultPayload:
             }
         ]
         assert "quarantined" not in payload
+
+    @pytest.fixture
+    def default_guards(self):
+        yield
+        _install_solver_fault_hook(None)
+        solver_guards_configure(policy=GuardPolicy.RAISE)
+
+    def test_fig3_quarantined_grid_points_are_stored(self, default_guards):
+        from repro.core.analysis import default_grid_for
+        from repro.experiments.fig3 import run_fig3
+
+        grid = default_grid_for(
+            OpenLocation.BL_PRECHARGE_CELLS, n_r=4, n_u=3
+        )
+        target = (grid.r_values[1], grid.u_values[2])
+        with SolverNaNInjector(target=target):
+            result = run_fig3(
+                n_r=4, n_u=3, guard_policy=GuardPolicy.QUARANTINE
+            )
+        assert result.quarantined
+        spec = JobSpec("fig3", n_r=4, n_u=3, guard_policy="quarantine")
+        payload = result_payload(spec, result)
+        assert payload["quarantined"] == [
+            {"r_def": target[0], "u": target[1]} for _ in result.quarantined
+        ]
+        json.dumps(payload, allow_nan=False)
+
+    def test_march_quarantined_labels_are_stored(self, default_guards):
+        from repro.experiments.march_pf import run_march_pf
+        from repro.march.library import MATS_PLUS
+
+        with SolverNaNInjector(at_solve=1):
+            result = run_march_pf(
+                tests=(MATS_PLUS,), with_generator=False,
+                guard_policy=GuardPolicy.QUARANTINE,
+            )
+        assert len(result.quarantined) == 1
+        spec = JobSpec("march", guard_policy="quarantine")
+        payload = result_payload(spec, result)
+        assert payload["quarantined"] == result.quarantined
+        json.dumps(payload, allow_nan=False)
 
 
 class TestTechnologyOverrides:
