@@ -185,9 +185,12 @@ def _execute_service(
     client = ServiceClient(
         config.service_url, client_id=config.client_id
     )
-    _record, payload = client.submit_and_wait(
-        spec, priority=config.priority, timeout=config.timeout
-    )
+    try:
+        _record, payload = client.submit_and_wait(
+            spec, priority=config.priority, timeout=config.timeout
+        )
+    finally:
+        client.close()
     return payload
 
 

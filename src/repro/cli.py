@@ -521,7 +521,6 @@ def _submit_main(argv) -> int:
     from .circuit.defects import OpenLocation
     from .service import (
         SERVICE_EXPERIMENTS, JobSpec, ServiceClient, ServiceError,
-        ServiceResponseError,
     )
 
     parser = argparse.ArgumentParser(
@@ -649,23 +648,18 @@ def _submit_main(argv) -> int:
             return 0
         if args.follow:
             _follow_job(client, job["id"])
-        job_id, payload = client.wait_or_resubmit(
+        record, payload = client.wait_or_resubmit(
             spec, job["id"], priority=args.priority,
             timeout=args.timeout, poll=args.poll,
         )
-        try:
-            record = client.job(job_id)
-        except ServiceResponseError:
-            # The job record can be trimmed from queue history between
-            # wait() and this refresh; the submission-time snapshot is
-            # enough for the closing status line.
-            record = job
     except ServiceError as exc:
         print(f"repro-partial-faults submit: {exc}", file=sys.stderr)
         return 3
     except TimeoutError as exc:
         print(f"repro-partial-faults submit: {exc}", file=sys.stderr)
         return 3
+    finally:
+        client.close()
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

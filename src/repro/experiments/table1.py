@@ -199,10 +199,12 @@ def run_table1(
     completion searches and marginal checks on one analyzer.  ``jobs``
     forked worker processes run the units, the costliest open first;
     ``jobs=1`` runs them in-process.  The default is one worker per
-    usable core, at most one per open, and in-process where forking is
-    not safe (:func:`repro.parallel.default_jobs`).  Rows, quarantined
-    points and telemetry are assembled in location order, so the result
-    is identical for any ``jobs``.
+    usable core, at most one per open
+    (:func:`repro.parallel.default_jobs`).  A caller that cannot fork
+    safely (:func:`repro.parallel.fork_safe`: other threads are running,
+    as in the sweep service) runs them in process whatever ``jobs`` is.
+    Rows, quarantined points and telemetry are assembled in location
+    order, so the result is identical for any ``jobs``.
     ``grid_engine=False`` disables the stacked ``(R_def, U)`` tile
     solver and runs every SOS per point through the scalar oracle (kept
     for benchmarks and ablations) — the inventory is identical either
@@ -222,7 +224,9 @@ def run_table1(
     the flip count per inventory row.  Both default off, leaving the
     default run's output untouched.
     """
-    from ..parallel import AnalyzerSpec, default_jobs, parallel_map_ex
+    from ..parallel import (
+        AnalyzerSpec, default_jobs, fork_safe, parallel_map_ex,
+    )
 
     locations = tuple(opens) if opens is not None else tuple(OpenLocation)
     specs = [
@@ -237,6 +241,8 @@ def run_table1(
     ]
     if jobs is None:
         jobs = default_jobs(len(specs))
+    elif not fork_safe():
+        jobs = 1
     outcome = parallel_map_ex(
         _analyze_open,
         [(spec, max_extra_ops, check_marginal) for spec in specs],

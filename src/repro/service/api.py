@@ -32,23 +32,35 @@ GET      ``/metrics``                the telemetry registry snapshot (JSON),
 :class:`SweepService` bundles queue + store + scheduler + HTTP server
 into one object with ``start()``/``stop()``/``serve_forever()`` — the
 ``repro-partial-faults serve`` command is a thin wrapper around it.
-The server is a ``ThreadingHTTPServer``: every request is handled on
-its own thread, which is why the queue, store, and metrics registry
-are all lock-protected.  Telemetry is switched on at service start —
-the service's own counters (``service.*``) are its operational
-dashboard — and the stored reports stay byte-identical to telemetry-off
-CLI output because :func:`~repro.service.jobs.result_payload` strips
-the timing block.
+The server is a ``ThreadingHTTPServer`` with one thread per connection,
+which is why the queue, store, and metrics registry are all
+lock-protected.  Connections are HTTP/1.1 and kept alive between
+requests until the client closes them or they sit idle for
+:data:`_IDLE_TIMEOUT` seconds; :meth:`SweepService.stop` closes the
+rest and joins their threads.  Every request body is read before the
+answer, so an early answer (a 429, a 404) leaves the connection in
+step for the next request.  Answers go out with ``TCP_NODELAY``: an
+answer is two writes (head, then body), and with Nagle's algorithm the
+second would wait for the client's delayed ACK of the first, about
+40 ms per request on a kept connection.
+
+Telemetry is switched on at service start — the service's own counters
+(``service.*``, with ``service.http.connections`` and a
+``service.http.request_s.<route>`` latency histogram per route) are its
+operational dashboard — and the stored reports stay byte-identical to
+telemetry-off CLI output because
+:func:`~repro.service.jobs.result_payload` strips the timing block.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .. import __version__, telemetry
@@ -72,6 +84,11 @@ _SSE = "text/event-stream; charset=utf-8"
 #: enough that a vanished client is detected (write -> BrokenPipeError)
 #: before it ties up a handler thread for long.
 _SSE_KEEPALIVE = 15.0
+
+#: Seconds a kept-alive connection may sit idle between requests before
+#: the server closes it (a client reconnects on its next request).
+#: Bounds the handler threads that idle clients hold.
+_IDLE_TIMEOUT = 5.0
 
 
 def _merge_cache_stats(snapshot: Dict[str, Any]) -> None:
@@ -150,6 +167,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-sweep-service/" + __version__
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------------
 
@@ -179,12 +197,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise ValueError("empty request body")
-        return json.loads(raw.decode("utf-8"))
+    def _read_body(self) -> bytes:
+        """The request body, ``Content-Length`` bytes.
+
+        A body of unknown length (a malformed ``Content-Length``, a
+        ``Transfer-Encoding``) closes the connection after the answer,
+        since the next request's start cannot be found.
+        """
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            return b""
+        return self.rfile.read(length) if length else b""
 
     def _route(self) -> Tuple[str, ...]:
         path = self.path.split("?", 1)[0].strip("/")
@@ -197,48 +224,92 @@ class _Handler(BaseHTTPRequestHandler):
             for key, values in parse_qs(urlparse(self.path).query).items()
         }
 
+    def handle_one_request(self) -> None:
+        """Wait at most :data:`_IDLE_TIMEOUT` seconds for a request line.
+
+        The stdlib closes the connection when the wait times out.  The
+        timeout is lifted once the request has arrived (:meth:`_serve`):
+        on a socket with a timeout every send and receive polls first,
+        and beside a job computing in the same process each poll costs
+        another wait for the interpreter lock.  On a 2-core host a
+        paced store hit beside cold jobs took about 30 ms with the
+        timeout on every operation, 5 ms without.
+        """
+        self.connection.settimeout(_IDLE_TIMEOUT)
+        super().handle_one_request()
+
     # -- verbs -----------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
+        self._serve(self._get)
+
+    def do_POST(self) -> None:  # noqa: N802
+        self._serve(self._post)
+
+    def do_DELETE(self) -> None:  # noqa: N802
+        self._serve(self._delete)
+
+    def _serve(
+        self, verb: Callable[[Tuple[str, ...], bytes], Optional[str]]
+    ) -> None:
+        """Answer one request; time it under its route's histogram.
+
+        The body is read first, whatever the answer: on a kept-alive
+        connection an unread body would be parsed as the next request.
+        ``verb`` returns the route name, ``None`` for a 404.
+        """
+        start = time.perf_counter()
+        self.connection.settimeout(None)
         telemetry.count("service.http.requests")
-        parts = self._route()
+        route = verb(self._route(), self._read_body())
+        if route is not None:
+            telemetry.observe(
+                f"service.http.request_s.{route}", time.perf_counter() - start
+            )
+
+    def _get(self, parts: Tuple[str, ...], _body: bytes) -> Optional[str]:
         if parts == ("healthz",):
             payload = self.service.health()
             self._send(200 if payload["status"] == "ok" else 503, payload)
-        elif parts == ("metrics",):
+            return "healthz"
+        if parts == ("metrics",):
             self._get_metrics()
-        elif parts == ("jobs",):
+            return "metrics"
+        if parts == ("jobs",):
             self._send(200, {"jobs": self.service.queue.list_jobs()})
-        elif len(parts) == 2 and parts[0] == "jobs":
+            return "jobs"
+        if len(parts) == 2 and parts[0] == "jobs":
             job = self.service.queue.snapshot(parts[1])
             if job is None:
                 self._send(404, {"error": "unknown-job", "id": parts[1]})
             else:
                 self._send(200, job)
-        elif len(parts) == 3 and parts[:1] == ("jobs",) and parts[2] == "result":
+            return "job"
+        if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
             self._get_result(parts[1])
-        elif len(parts) == 3 and parts[:1] == ("jobs",) and parts[2] == "events":
+            return "result"
+        if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "events":
             self._get_events(parts[1])
-        else:
-            self._send(404, {"error": "not-found", "path": self.path})
+            return "events"
+        return self._not_found()
 
-    def do_POST(self) -> None:  # noqa: N802
-        telemetry.count("service.http.requests")
-        parts = self._route()
+    def _post(self, parts: Tuple[str, ...], body: bytes) -> Optional[str]:
         if parts == ("jobs",):
-            self._submit()
-        elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
+            self._submit(body)
+            return "submit"
+        if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
             self._cancel(parts[1])
-        else:
-            self._send(404, {"error": "not-found", "path": self.path})
+            return "cancel"
+        return self._not_found()
 
-    def do_DELETE(self) -> None:  # noqa: N802
-        telemetry.count("service.http.requests")
-        parts = self._route()
+    def _delete(self, parts: Tuple[str, ...], _body: bytes) -> Optional[str]:
         if len(parts) == 2 and parts[0] == "jobs":
             self._cancel(parts[1])
-        else:
-            self._send(404, {"error": "not-found", "path": self.path})
+            return "cancel"
+        return self._not_found()
+
+    def _not_found(self) -> None:
+        self._send(404, {"error": "not-found", "path": self.path})
 
     # -- handlers --------------------------------------------------------------
 
@@ -384,7 +455,7 @@ class _Handler(BaseHTTPRequestHandler):
         header = (self.headers.get("X-Client-Id") or "").strip()
         return header or self.client_address[0]
 
-    def _submit(self) -> None:
+    def _submit(self, body: bytes) -> None:
         client = self._client_id()
         limiter = self.service.limiter
         if limiter is not None:
@@ -408,8 +479,10 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             telemetry.count("service.ratelimit.allowed")
         try:
-            data = self._read_json()
-        except (ValueError, json.JSONDecodeError) as exc:
+            if not body:
+                raise ValueError("empty request body")
+            data = json.loads(body.decode("utf-8"))
+        except ValueError as exc:
             self._send(400, {"error": "invalid-json", "detail": str(exc)})
             return
         priority = 0
@@ -503,9 +576,57 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _Server(ThreadingHTTPServer):
+    """One handler thread per connection, tracked until it ends."""
+
     allow_reuse_address = True
     daemon_threads = True
     service: "SweepService"
+
+    def __init__(self, *args: Any) -> None:
+        super().__init__(*args)
+        self._open: Dict[socket.socket, threading.Thread] = {}
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        telemetry.count("service.http.connections")
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="repro-service-connection",
+            daemon=True,
+        )
+        with self._open_lock:
+            self._open[request] = thread
+        thread.start()
+
+    def process_request_thread(
+        self, request: Any, client_address: Any
+    ) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._open_lock:
+                self._open.pop(request, None)
+
+    def close_connections(self) -> None:
+        """Shut down every open connection and join its thread.
+
+        Call after the accept loop has stopped.  An idle kept-alive
+        connection ends at once: the shutdown turns its thread's wait
+        for the next request into end of file.  A thread still
+        answering (an SSE stream, a long poll) ends at its next write,
+        or is left behind, a daemon, after 5 s.
+        """
+        with self._open_lock:
+            open_now = list(self._open.items())
+        for request, _ in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its client
+        deadline = time.monotonic() + 5.0
+        for _, thread in open_now:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class SweepService:
@@ -626,10 +747,12 @@ class SweepService:
         try:
             self._httpd.serve_forever()
         finally:
+            self._httpd.close_connections()
             self._drain()
 
     def stop(self) -> None:
         self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)

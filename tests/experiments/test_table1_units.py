@@ -81,6 +81,27 @@ def test_costliest_open_is_submitted_first_rows_in_location_order(
     assert result.rows == serial.rows
 
 
+def test_threaded_caller_runs_in_process_whatever_jobs(monkeypatch):
+    # A served job runs beside the server's threads, whose locks a
+    # forked child would inherit in whatever state they are, so even an
+    # explicit jobs=2 keeps its opens in the calling process.
+    import threading
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a threaded caller must not fork")
+
+    monkeypatch.setattr(par, "ProcessPoolExecutor", NoPool)
+    results = []
+    caller = threading.Thread(target=lambda: results.append(
+        table1.run_table1(opens=OPENS, jobs=2, **COARSE)
+    ))
+    caller.start()
+    caller.join()
+    serial = table1.run_table1(opens=OPENS, jobs=1, **COARSE)
+    assert results[0].report.render() == serial.report.render()
+
+
 def test_survey_cost_ranks_the_word_line_open_first():
     costs = {
         location: ColumnFaultAnalyzer(

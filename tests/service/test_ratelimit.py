@@ -1,5 +1,6 @@
 """Per-client rate limiting and quotas: the token bucket and the 429s."""
 
+import http.client
 import json
 import threading
 import time
@@ -134,6 +135,34 @@ class TestRateLimitOverHTTP:
                 urllib.request.urlopen(request, timeout=10)
             assert excinfo.value.code == 429
             assert float(excinfo.value.headers["Retry-After"]) > 0
+
+    def test_early_answers_leave_a_kept_connection_in_step(
+        self, register_experiment
+    ):
+        # The 429 and the 404 are answered before the body would be
+        # parsed.  An unread body stays in the socket, and the next
+        # request on the connection is parsed from it (a 400 page).
+        register_experiment("svc-rate-conn")
+        body = json.dumps({"experiment": "svc-rate-conn"})
+        headers = {"Content-Type": "application/json"}
+        with _service(rate_limit=0.01, rate_burst=1) as service:
+            conn = http.client.HTTPConnection(
+                service.host, service.port, timeout=10
+            )
+            answers = []
+            for method, path, data in (
+                ("POST", "/jobs", body),
+                ("POST", "/jobs", body),
+                ("GET", "/healthz", None),
+                ("POST", "/teapot", body),
+                ("GET", "/healthz", None),
+            ):
+                conn.request(method, path, body=data, headers=headers)
+                response = conn.getresponse()
+                answers.append((response.status, json.loads(response.read())))
+            conn.close()
+        assert [status for status, _ in answers] == [202, 429, 200, 404, 200]
+        assert answers[2][1]["status"] == answers[4][1]["status"] == "ok"
 
     def test_other_clients_have_their_own_bucket(self, register_experiment):
         register_experiment("svc-rate-iso")
