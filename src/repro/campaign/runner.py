@@ -4,10 +4,7 @@
 into per-corner content-addressed job specs and executes them either
 
 * **in-process** — each corner's experiment runs through its service
-  profile (:meth:`JobSpec.profile`) on a bounded thread pool, with the
-  optional ``work_dir`` giving every corner its *own* per-address
-  unit-checkpoint file (unit keys do not embed the technology, so
-  corners must never share one unit store), or
+  profile (:meth:`JobSpec.profile`) on a bounded thread pool, or
 * **against a live service** (``service_url``) — each corner becomes a
   ``POST /jobs`` through :class:`~repro.service.client.ServiceClient`;
   the service's content-address dedup, journal recovery and result
@@ -19,17 +16,16 @@ Either way a finished corner's payload is the exact
 corner's ``payload["report"]`` is byte-identical to a direct,
 non-campaign run of the same spec.
 
-Campaign-level checkpointing is separate from (and coarser than) the
-per-unit sweep checkpoints: ``checkpoint_path`` appends one record per
-*finished corner job* keyed by content address, and ``resume=True``
-reloads those records so a killed campaign re-runs only the corners
-still missing.  Progress is observable as ``campaign.*`` telemetry
+A corner is the campaign's unit of recovery: ``checkpoint_path``
+appends one record per *finished corner job* keyed by content address,
+and ``resume=True`` reloads those records so a killed campaign re-runs
+only the corners still missing (a corner that was running re-runs
+whole).  Progress is observable as ``campaign.*`` telemetry
 counters/spans and structured events (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -40,7 +36,6 @@ from ..experiments.reporting import ExperimentReport
 from ..io import CheckpointStore
 from ..march.library import MARCH_PF
 from ..march.notation import MarchTest
-from ..parallel import Resilience, RetryPolicy
 from ..service.jobs import JobSpec, result_payload
 from ..telemetry import events
 from .corners import CornerMatrix
@@ -91,8 +86,6 @@ class CampaignConfig:
     timeout: Optional[float] = 600.0
     checkpoint_path: Optional[str] = None
     resume: bool = False
-    work_dir: Optional[str] = None
-    retry_policy: Optional[RetryPolicy] = None
 
     def validate(self) -> "CampaignConfig":
         if self.corner_jobs < 1:
@@ -144,36 +137,9 @@ def _checkpoint_key(spec: JobSpec) -> str:
     return f"campaign|{spec.experiment}|{spec.address}"
 
 
-def _unit_store_path(work_dir: str, spec: JobSpec) -> str:
-    # One unit-checkpoint file per content address: the per-open unit
-    # key (table1._open_key) does not embed the technology, so two
-    # corners sharing one file would collide on identical
-    # (location, grid) unit keys.
-    return os.path.join(work_dir, f"units-{spec.address[:24]}.jsonl")
-
-
-def _execute_local(
-    spec: JobSpec,
-    work_dir: Optional[str],
-    retry_policy: Optional[RetryPolicy],
-) -> Dict[str, Any]:
+def _execute_local(spec: JobSpec) -> Dict[str, Any]:
     """Run one corner job in-process; returns its result payload."""
-    store: Optional[CheckpointStore] = None
-    resilience: Optional[Resilience] = None
-    if work_dir is not None:
-        os.makedirs(work_dir, exist_ok=True)
-        store = CheckpointStore(_unit_store_path(work_dir, spec))
-        resilience = Resilience(
-            policy=retry_policy or RetryPolicy(), checkpoint=store
-        )
-    elif retry_policy is not None:
-        resilience = Resilience(policy=retry_policy)
-    try:
-        result = spec.profile().run(spec, resilience)
-        return result_payload(spec, result)
-    finally:
-        if store is not None:
-            store.close()
+    return result_payload(spec, spec.profile().run(spec))
 
 
 def _execute_service(
@@ -258,9 +224,7 @@ def run_matrix_campaign(config: CampaignConfig) -> CampaignResult:
                     if mode == "service":
                         payload = _execute_service(spec, config)
                     else:
-                        payload = _execute_local(
-                            spec, config.work_dir, config.retry_policy
-                        )
+                        payload = _execute_local(spec)
                 except Exception as exc:
                     telemetry.count("campaign.jobs.failed")
                     events.emit(

@@ -18,24 +18,8 @@ Installed as ``repro-partial-faults``::
 processes, one open location per unit; the output is identical for any
 N (see ``docs/PERFORMANCE.md``).  It defaults to one worker per usable
 core, at most one per location.  The other experiments run in process;
-passing ``--jobs`` or a resilience flag with them, or a resilience flag
-with escapes or diagnosis, prints a one-line notice.
-
-Resilience flags (any of them enables the recovery layer of
-``docs/ROBUSTNESS.md`` for table1)::
-
-    --checkpoint FILE    append completed opens to FILE (JSONL) as they
-                         finish, so an interrupted run can resume
-    --resume FILE        skip opens already recorded in FILE (implies
-                         checkpointing new opens to the same FILE)
-    --max-retries N      retry a crashed/timed-out unit N times before
-                         falling back in-process (default 1)
-    --unit-timeout SEC   cancel a unit still running after SEC seconds
-                         and retry it
-
-With a resilience flag set, a ``[resilience]`` summary (retries,
-fallbacks, resumed and failed units) is printed after table1.  Without
-these flags the output is byte-identical to earlier releases.
+passing ``--jobs`` with them prints a one-line notice.  The fan-out is
+strict: a unit that fails fails the run.
 
 Guard-rail flags (see ``docs/ROBUSTNESS.md``)::
 
@@ -58,10 +42,10 @@ Service mode (see ``docs/SERVICE.md``)::
                                        # run an experiment through a server
 
 ``serve`` starts the sweep service of :mod:`repro.service`: submitted
-jobs are deduplicated by content address, executed (table1 through the
-parallel fan-out with retry/checkpoint resilience), and their results
+jobs are deduplicated by content address, executed, and their results
 cached in a TTL/LRU store, so repeated submissions are served without
-recomputing.
+recomputing.  ``serve --work-dir DIR`` keeps the job journal under DIR,
+and a restarted server re-runs every journaled job it had not finished.
 ``submit`` posts one job (optionally ``--wait``-ing for and printing
 the report, which is byte-identical to the direct CLI run's;
 ``--follow`` additionally renders the job's live progress events on
@@ -96,7 +80,7 @@ Observability flags (any of them switches telemetry on for the run; see
     --profile            run the experiments under cProfile and print the
                          hottest functions afterwards
     --log-json FILE      append structured JSONL events (experiment
-                         lifecycle, retries, quarantines) to FILE; unlike
+                         lifecycle, quarantines) to FILE; unlike
                          the flags above it does not by itself switch the
                          ``[telemetry]`` summary on
 
@@ -126,41 +110,37 @@ from .experiments import (
     retention, table1,
 )
 from .experiments.reporting import format_table
-from .io import CheckpointStore
-from .parallel import Resilience, RetryPolicy, drain_resilience_log
 from .telemetry import events as event_log
 from .telemetry import profiled
 
 #: Experiment runners; each takes the ``--jobs`` worker count (``None``
-#: when not given: the fanned experiment's own default), the resilience
-#: configuration, the guard options and the grid-engine switch (the
-#: experiments without a parallel fan-out / solver surface simply ignore
-#: them) and returns the experiment's result object (``.report`` carries
-#: the rendered output).
+#: when not given: the fanned experiment's own default), the guard
+#: options and the grid-engine switch (the experiments without a
+#: parallel fan-out / solver surface simply ignore them) and returns the
+#: experiment's result object (``.report`` carries the rendered output).
 _EXPERIMENTS: Dict[
-    str, Callable[[Optional[int], object, object, bool, bool], object]
+    str, Callable[[Optional[int], object, bool, bool], object]
 ] = {
-    "fig3": lambda jobs, res, gp, mg, ge: fig3.run_fig3(
+    "fig3": lambda jobs, gp, mg, ge: fig3.run_fig3(
         guard_policy=gp, grid_engine=ge
     ),
-    "fig4": lambda jobs, res, gp, mg, ge: fig4.run_fig4(
+    "fig4": lambda jobs, gp, mg, ge: fig4.run_fig4(
         guard_policy=gp, grid_engine=ge
     ),
-    "table1": lambda jobs, res, gp, mg, ge: table1.run_table1(
-        jobs=jobs, resilience=res, guard_policy=gp, check_marginal=mg,
-        grid_engine=ge,
+    "table1": lambda jobs, gp, mg, ge: table1.run_table1(
+        jobs=jobs, guard_policy=gp, check_marginal=mg, grid_engine=ge,
     ),
-    "fp-space": lambda jobs, res, gp, mg, ge: fp_space.run_fp_space(),
-    "march": lambda jobs, res, gp, mg, ge: march_pf.run_march_pf(
+    "fp-space": lambda jobs, gp, mg, ge: fp_space.run_fp_space(),
+    "march": lambda jobs, gp, mg, ge: march_pf.run_march_pf(
         guard_policy=gp
     ),
-    "ablation": lambda jobs, res, gp, mg, ge: ablation.run_ablation(),
-    "bridges": lambda jobs, res, gp, mg, ge: bridges.run_bridges(),
-    "retention": lambda jobs, res, gp, mg, ge: retention.run_retention(),
-    "escapes": lambda jobs, res, gp, mg, ge: escapes.run_escapes(
+    "ablation": lambda jobs, gp, mg, ge: ablation.run_ablation(),
+    "bridges": lambda jobs, gp, mg, ge: bridges.run_bridges(),
+    "retention": lambda jobs, gp, mg, ge: retention.run_retention(),
+    "escapes": lambda jobs, gp, mg, ge: escapes.run_escapes(
         grid_engine=ge, jobs=jobs
     ),
-    "diagnosis": lambda jobs, res, gp, mg, ge: diagnosis.run_diagnosis(
+    "diagnosis": lambda jobs, gp, mg, ge: diagnosis.run_diagnosis(
         grid_engine=ge, jobs=jobs
     ),
 }
@@ -168,10 +148,6 @@ _EXPERIMENTS: Dict[
 #: Experiments with a worker-process fan-out: ``--jobs`` applies to
 #: these only.
 _FANNED = frozenset({"diagnosis", "escapes", "table1"})
-
-#: Fanned experiments whose units retry, time out and checkpoint: the
-#: resilience flags apply to these only.
-_RESILIENT = frozenset({"table1"})
 
 #: Experiments whose runners accept ``--guard-policy`` (the rest never
 #: touch the analog solver, or only through these).
@@ -214,33 +190,6 @@ def _probe_writable(path: str) -> None:
             pass
 
 
-def _ignored(flags: List[str]) -> str:
-    """``"--a is ignored"`` or ``"--a and --b are ignored"``."""
-    return (
-        " and ".join(flags)
-        + (" is" if len(flags) == 1 else " are")
-        + " ignored"
-    )
-
-
-def _resilience_summary(name: str) -> List[str]:
-    """Render and reset the session resilience log for one experiment."""
-    log = drain_resilience_log()
-    lines = [
-        f"[resilience] {name}: {len(log.failures)} failed, "
-        f"{log.retries} retried, {log.fallbacks} ran in-process, "
-        f"{log.resumed} resumed from checkpoint, "
-        f"{log.pool_breaks} pool breaks, {log.timeouts} timeouts"
-    ]
-    for failure in log.failures:
-        lines.append(
-            f"[resilience]   FAILED {failure.key or failure.index}: "
-            f"{failure.error_type} after {failure.attempts} attempts "
-            f"({failure.message})"
-        )
-    return lines
-
-
 def _summary_table() -> str:
     """The ``all``-mode closing table, built from the experiment spans."""
     rows = []
@@ -255,7 +204,6 @@ def _summary_table() -> str:
 
 def _serve_main(argv) -> int:
     """``repro-partial-faults serve`` — run the sweep service."""
-    from .parallel import RetryPolicy
     from .service import SweepService
 
     parser = argparse.ArgumentParser(
@@ -317,25 +265,14 @@ def _serve_main(argv) -> int:
     )
     parser.add_argument(
         "--work-dir", metavar="DIR", default=None,
-        help="keep per-job unit checkpoints and the job journal under "
-        "DIR so a failed or interrupted table1 job resumes from its "
-        "completed opens and a killed service re-enqueues its jobs on "
-        "restart",
+        help="keep the job journal under DIR, so a restarted service "
+        "re-runs the jobs a kill interrupted",
     )
     parser.add_argument(
         "--drain-timeout", type=float, default=30.0, metavar="SECONDS",
         help="on SIGTERM/SIGINT, wait up to SECONDS for running jobs "
         "to finish before exiting; unfinished jobs stay journaled and "
         "recover on the next start (default 30)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=1, metavar="N",
-        help="per-unit retry budget inside each job's fan-out (default 1)",
-    )
-    parser.add_argument(
-        "--unit-timeout", type=float, default=None, metavar="SECONDS",
-        help="cancel a sweep unit still running after SECONDS (default: "
-        "no timeout)",
     )
     parser.add_argument(
         "--trace", metavar="FILE", default=None,
@@ -346,7 +283,7 @@ def _serve_main(argv) -> int:
     parser.add_argument(
         "--log-json", metavar="FILE", default=None,
         help="append structured JSONL events (job lifecycle, store "
-        "eviction, retries) to FILE",
+        "eviction) to FILE",
     )
     args = parser.parse_args(argv)
     if args.port < 0:
@@ -359,8 +296,6 @@ def _serve_main(argv) -> int:
         parser.error("--store-max must be >= 1")
     if args.store_ttl is not None and args.store_ttl <= 0:
         parser.error("--store-ttl must be > 0")
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
     if args.rate_limit is not None and args.rate_limit <= 0:
         parser.error("--rate-limit must be > 0")
     if args.rate_burst is not None and args.rate_burst < 1:
@@ -369,8 +304,6 @@ def _serve_main(argv) -> int:
         parser.error("--rate-burst requires --rate-limit")
     if args.client_quota is not None and args.client_quota < 1:
         parser.error("--client-quota must be >= 1")
-    if args.unit_timeout is not None and args.unit_timeout <= 0:
-        parser.error("--unit-timeout must be > 0")
     if args.drain_timeout < 0:
         parser.error("--drain-timeout must be >= 0")
     for path in (args.trace, args.log_json):
@@ -391,9 +324,6 @@ def _serve_main(argv) -> int:
             store_max=args.store_max,
             store_ttl=args.store_ttl,
             work_dir=args.work_dir,
-            retry_policy=RetryPolicy(
-                max_retries=args.max_retries, unit_timeout=args.unit_timeout
-            ),
             trace_export=args.trace,
             executor=args.executor,
             rate_limit=args.rate_limit,
@@ -469,12 +399,6 @@ def _render_event(event: Dict[str, object]) -> Optional[str]:
         return kind
     if name == "overflow":
         return f"overflow: {event.get('dropped', 0)} event(s) dropped"
-    if name == "resilience":
-        return (
-            f"resilience: {event.get('retries', 0)} retried, "
-            f"{event.get('fallbacks', 0)} ran in-process, "
-            f"{event.get('failures', 0)} failed"
-        )
     if name == "error":
         return f"error: {event.get('error_type', 'Exception')}"
     return name
@@ -770,11 +694,6 @@ def _campaign_main(argv) -> int:
         "new ones to it",
     )
     run_parser.add_argument(
-        "--work-dir", metavar="DIR", default=None,
-        help="keep per-corner sweep-unit checkpoints under DIR "
-        "(in-process execution only)",
-    )
-    run_parser.add_argument(
         "--json", metavar="FILE", default=None,
         help="also write the campaign JSON document to FILE "
         "(re-renderable with 'campaign report')",
@@ -819,12 +738,6 @@ def _campaign_main(argv) -> int:
         parser.error("--timeout must be > 0")
     if args.priority and not args.service_url:
         parser.error("--priority requires --service-url")
-    if args.work_dir and args.service_url:
-        parser.error(
-            "--work-dir applies to in-process execution only (the "
-            "service keeps its own unit checkpoints via serve "
-            "--work-dir)"
-        )
     if args.resume and args.checkpoint and args.resume != args.checkpoint:
         parser.error(
             "--resume and --checkpoint name different files; --resume "
@@ -855,7 +768,6 @@ def _campaign_main(argv) -> int:
             timeout=args.timeout,
             checkpoint_path=checkpoint_path,
             resume=bool(args.resume),
-            work_dir=args.work_dir,
         ).validate()
     except SpecValidationError as exc:
         print(
@@ -943,7 +855,7 @@ def main(argv=None) -> int:
         metavar="FILE",
         default=None,
         help="append structured JSONL events (experiment lifecycle, "
-        "unit retries, quarantines) to FILE; see docs/OBSERVABILITY.md",
+        "quarantines) to FILE; see docs/OBSERVABILITY.md",
     )
     parser.add_argument(
         "--jobs",
@@ -954,38 +866,6 @@ def main(argv=None) -> int:
         "open location per unit; the output is identical for any N "
         "(default: one per usable core, at most one per location); the "
         "other experiments run in process and print a notice",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        default=None,
-        help="append each completed table1 open to FILE (JSONL) as it "
-        "finishes, so an interrupted run can be resumed with --resume",
-    )
-    parser.add_argument(
-        "--resume",
-        metavar="FILE",
-        default=None,
-        help="skip table1 opens already recorded in FILE and "
-        "checkpoint new ones to it; the final output is identical to an "
-        "uninterrupted run",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry a crashed or timed-out table1 unit up to N times "
-        "before running it in-process (default 1 when any resilience "
-        "flag is set)",
-    )
-    parser.add_argument(
-        "--unit-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="cancel a table1 unit still running after SECONDS and "
-        "retry it (default: no timeout)",
     )
     parser.add_argument(
         "--guard-policy",
@@ -1014,38 +894,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.max_retries is not None and args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.unit_timeout is not None and args.unit_timeout <= 0:
-        parser.error("--unit-timeout must be > 0")
-    if args.resume and args.checkpoint and args.resume != args.checkpoint:
-        parser.error(
-            "--resume and --checkpoint name different files; --resume "
-            "already appends new units to the file it reads"
-        )
-    if args.resume and not os.path.exists(args.resume):
-        parser.error(f"--resume {args.resume}: no such checkpoint file")
-    checkpoint_path = args.resume or args.checkpoint
-    resilience_flags = (
-        checkpoint_path is not None
-        or args.max_retries is not None
-        or args.unit_timeout is not None
-    )
-    # The flags only a fanned (resilient) experiment reads, as the user
-    # gave them.
-    jobs_flags = [f"--jobs {args.jobs}"] if (args.jobs or 1) > 1 else []
-    resilience_given = [
-        flag for flag, given in (
-            ("--checkpoint", args.checkpoint is not None),
-            ("--resume", args.resume is not None),
-            ("--max-retries", args.max_retries is not None),
-            ("--unit-timeout", args.unit_timeout is not None),
-        ) if given
-    ]
     # Fail on unwritable output paths now, not after minutes of
     # simulation — without leaving behind empty files the run never wrote.
-    for path in (args.trace, args.metrics_json, args.log_json,
-                 checkpoint_path):
+    for path in (args.trace, args.metrics_json, args.log_json):
         if path:
             try:
                 _probe_writable(path)
@@ -1066,35 +917,16 @@ def main(argv=None) -> int:
         event_log.emit(
             "cli.run.started", experiments=names, jobs=args.jobs,
         )
-    resilience = None
-    if resilience_flags:
-        policy = RetryPolicy(
-            max_retries=1 if args.max_retries is None else args.max_retries,
-            unit_timeout=args.unit_timeout,
-        )
-        store = (
-            CheckpointStore(checkpoint_path) if checkpoint_path else None
-        )
-        resilience = Resilience(policy=policy, checkpoint=store)
-        drain_resilience_log()  # start each run with a clean slate
     failed: List[str] = []
 
     def run_experiments() -> None:
         for name in names:
-            if name not in _FANNED and jobs_flags + resilience_given:
+            if name not in _FANNED and (args.jobs or 1) > 1:
                 print(
                     f"[note] {name} has no parallel fan-out; "
-                    + _ignored(jobs_flags + resilience_given)
-                    + " and it runs serially (fanned experiments: "
+                    f"--jobs {args.jobs} is ignored and it runs serially "
+                    "(fanned experiments: "
                     + ", ".join(sorted(_FANNED)) + ")"
-                )
-                print()
-            elif name not in _RESILIENT and resilience_given:
-                print(
-                    f"[note] {name} has no unit recovery; "
-                    + _ignored(resilience_given)
-                    + " (resilient experiments: "
-                    + ", ".join(sorted(_RESILIENT)) + ")"
                 )
                 print()
             if guard_policy is not None and name not in _GUARDED:
@@ -1120,18 +952,13 @@ def main(argv=None) -> int:
                 print()
             start = time.perf_counter()
             result = _EXPERIMENTS[name](
-                args.jobs, resilience if name in _RESILIENT else None,
-                guard_policy, args.check_marginal,
+                args.jobs, guard_policy, args.check_marginal,
                 not args.no_grid_engine,
             )
             elapsed = time.perf_counter() - start
             report = getattr(result, "report", result)
             print(report.render())
             print()
-            if resilience is not None and name in _RESILIENT:
-                for line in _resilience_summary(name):
-                    print(line)
-                print()
             if (
                 (guard_policy is not None or args.check_marginal)
                 and name in _GUARDED
@@ -1166,13 +993,11 @@ def main(argv=None) -> int:
         print(f"repro-partial-faults: invalid spec: {exc}", file=sys.stderr)
         return 2
     except ReproError as exc:
-        # Solver divergence (under GuardPolicy.RAISE), checkpoint
-        # mismatches and other runtime failures of the reproduction.
+        # Solver divergence (under GuardPolicy.RAISE) and other runtime
+        # failures of the reproduction.
         print(f"repro-partial-faults: {exc}", file=sys.stderr)
         return 3
     finally:
-        if resilience is not None and resilience.checkpoint is not None:
-            resilience.checkpoint.close()
         if args.log_json:
             event_log.emit("cli.run.finished", failed=sorted(failed))
             event_log.close()

@@ -4,9 +4,7 @@ Every error the library raises on purpose derives from :class:`ReproError`,
 so callers (notably the CLI) can distinguish *your input is wrong*
 (:class:`SpecValidationError` — fix the spec and rerun) from *the physics
 engine lost the plot* (:class:`SolverDivergenceError` — a guard rail
-tripped, see ``docs/ROBUSTNESS.md``) from *your resume would lie to you*
-(:class:`CheckpointMismatchError` — the checkpoint was written by a run
-with different sweep parameters).
+tripped, see ``docs/ROBUSTNESS.md``).
 
 Validation lives on the spec objects themselves (``Technology.validate()``,
 ``OpenDefect.validate()``, ``SweepGrid.validate()``,
@@ -27,7 +25,6 @@ __all__ = [
     "SpecValidationError",
     "SolverDivergenceError",
     "QuarantinedPointError",
-    "CheckpointMismatchError",
     "InjectionError",
     "QueueFullError",
     "ClientQuotaError",
@@ -89,32 +86,6 @@ class QuarantinedPointError(ReproError):
     def __init__(self, point: Any) -> None:
         self.point = point
         super().__init__(f"grid point is quarantined: {point}")
-
-
-class CheckpointMismatchError(ReproError, ValueError):
-    """A checkpoint resume would silently mix results from another grid.
-
-    Raised when a store holds units whose keys match the requested units
-    in everything *but* the sweep-grid signature — i.e. the same survey
-    was checkpointed under different grid parameters.  Names both
-    signatures and the offending file, so the fix (delete or rename the
-    stale store, or rerun with the original grid) is obvious.
-    """
-
-    def __init__(
-        self, path: str, expected_signature: str, found_signature: str,
-        key: str,
-    ) -> None:
-        self.path = path
-        self.expected_signature = expected_signature
-        self.found_signature = found_signature
-        self.key = key
-        super().__init__(
-            f"checkpoint {path!r} was written with grid signature "
-            f"{found_signature!r} but this run uses {expected_signature!r} "
-            f"(first mismatching unit: {key!r}); delete the stale store or "
-            "rerun with the original sweep parameters"
-        )
 
 
 class InjectionError(ReproError):

@@ -172,14 +172,6 @@ def _analyze_open(
     return rows, analyzer.quarantined
 
 
-def _open_key(spec, max_extra_ops: int, check_marginal: bool) -> str:
-    """Stable checkpoint key for one open's unit."""
-    return (
-        f"table1|{spec.location.name}|grid={spec.grid.signature()}"
-        f"|ops={max_extra_ops}|marginal={int(check_marginal)}"
-    )
-
-
 @instrumented("table1")
 def run_table1(
     technology: Optional[Technology] = None,
@@ -189,7 +181,6 @@ def run_table1(
     max_extra_ops: int = 3,
     jobs: Optional[int] = None,
     grid_engine: bool = True,
-    resilience=None,
     guard_policy: Optional[GuardPolicy] = None,
     check_marginal: bool = False,
 ) -> Table1Result:
@@ -210,12 +201,8 @@ def run_table1(
     for benchmarks and ablations) — the inventory is identical either
     way.
 
-    ``resilience`` (a :class:`repro.parallel.Resilience`) turns on unit
-    retry/timeout/fallback recovery and, with a checkpoint store,
-    persists each finished open and resumes from them (see
-    ``docs/ROBUSTNESS.md``).  An open that fails every recovery attempt
-    is reported as a :class:`~repro.parallel.UnitFailure` and
-    contributes no rows.
+    The fan-out is strict: an open that fails fails the run (a crashed
+    served job re-runs whole, see ``docs/ROBUSTNESS.md``).
 
     ``guard_policy`` selects what a solver guard trip does at each grid
     point (``GuardPolicy.QUARANTINE`` records the point on
@@ -243,26 +230,17 @@ def run_table1(
         jobs = default_jobs(len(specs))
     elif not fork_safe():
         jobs = 1
-    outcome = parallel_map_ex(
+    results = parallel_map_ex(
         _analyze_open,
         [(spec, max_extra_ops, check_marginal) for spec in specs],
         jobs=jobs,
-        policy=resilience.policy if resilience is not None else None,
-        checkpoint=resilience.checkpoint if resilience is not None else None,
-        keys=[
-            _open_key(spec, max_extra_ops, check_marginal) for spec in specs
-        ],
-        codec="table1-open",
-        strict=resilience is None,
         costs=[spec.build().survey_cost() for spec in specs],
     )
     rows: List[InventoryRow] = []
     quarantined: List[QuarantinedPoint] = []
-    for result in outcome.results:
-        if result is None:
-            continue  # failed unit, surfaced in outcome.failures
-        rows.extend(result[0])
-        quarantined.extend(result[1])
+    for open_rows, open_quarantined in results:
+        rows.extend(open_rows)
+        quarantined.extend(open_quarantined)
     report, matches = _compare(
         rows, locations, quarantined=quarantined,
         check_marginal=check_marginal,

@@ -19,7 +19,8 @@ guard rails of ``repro.circuit.network`` (see ``docs/ROBUSTNESS.md``):
   poisoned entry.
 * :class:`CheckpointTailTruncator` — chop a seeded number of bytes off a
   checkpoint store's tail, simulating a crash mid-append; the torn line
-  must be skipped on resume, never half-parsed.
+  must be skipped on resume, never half-parsed, and the next record
+  must start on a fresh line.
 
 Three more target the sweep *service*'s durability layer (see
 ``docs/SERVICE.md``):
@@ -33,8 +34,7 @@ Three more target the sweep *service*'s durability layer (see
   the torn record and recover every intact submission.
 * :class:`ProcessKiller` — deliver ``SIGKILL`` (or any signal) to a
   service process mid-job, simulating a hard crash; a restart on the
-  same ``--work-dir`` must resume the journaled job from its unit
-  checkpoints.
+  same ``--work-dir`` must re-run the journaled job whole.
 
 Every injector is a context manager (armed on enter, disarmed on exit —
 also by :func:`run_injection_campaign`) and fully deterministic under
@@ -43,8 +43,9 @@ Injectors never install over each other: arming while another hook is
 armed raises :class:`~repro.errors.InjectionError`.
 
 :func:`run_injection_campaign` runs one workload per injector, snapshots
-the ``solver.guard_*`` / ``analyzer.quarantined_points`` / ``parallel.*``
-telemetry counters around each run, and classifies the outcome with
+the ``solver.guard_*`` / ``analyzer.quarantined_points`` /
+``service.store.*`` / ``service.journal.*`` telemetry counters around
+each run, and classifies the outcome with
 DAVOS-style verdicts (``dormant`` / ``masked`` / ``contained`` /
 ``detected`` / ``escaped``) — not to be confused with the
 *stress-corner sweep campaigns* of :mod:`repro.campaign`, which
@@ -84,7 +85,6 @@ __all__ = [
 _WATCHED_COUNTERS = (
     "solver.guard_",
     "analyzer.quarantined_points",
-    "parallel.",
     "service.store.",
     "service.journal.",
 )
@@ -329,7 +329,8 @@ class CheckpointTailTruncator(FaultInjector):
     ``arm()`` removes a seeded number of bytes from the end of ``path``
     (at least 1, at most ``max_bytes``, and never the whole file unless
     it is smaller than that).  :class:`~repro.io.CheckpointStore` must
-    skip the torn final line and resume from the intact prefix.
+    skip the torn final line and resume from the intact prefix, and its
+    next record must start on a fresh line.
     """
 
     name = "checkpoint-truncation"
@@ -463,8 +464,8 @@ class ProcessKiller(FaultInjector):
     """Deliver a signal (default ``SIGKILL``) to a service process.
 
     The harshest crash model: no handler runs, no drain, no flush —
-    exactly what the journal's per-record fsync and the checkpoint
-    store's torn-tail recovery exist for.  ``arm()`` sends the signal
+    exactly what the journal's per-record fsync and the JSONL torn-tail
+    recovery exist for.  ``arm()`` sends the signal
     once; refuses ``pid <= 1`` and the calling process itself (a typo'd
     pid must not kill the test runner or, worse, init).
     """

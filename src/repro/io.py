@@ -14,26 +14,24 @@ plain JSON-compatible structures:
   so the dictionary is built once and loaded afterwards;
 * :class:`~repro.core.analysis.PartialFaultFinding` — location, floating
   plan, probe SOS, FFM and the full region map;
-* one open's Table 1 inventory rows and quarantined points, the result
-  of Table 1's per-open work unit, so those units can be checkpointed
-  and resumed (see :class:`CheckpointStore`).
+* :class:`~repro.core.analysis.QuarantinedPoint` — the grid point a
+  solver guard quarantined, as the service's result documents carry it.
 
 Every ``dump_*`` returns JSON-serializable data; ``dumps_*``/``loads_*``
 go straight to strings.  Version tags guard against silent format drift.
 
-:class:`CheckpointStore` is the persistence side of the resilient sweep
-orchestrator (``docs/ROBUSTNESS.md``): an append-only JSONL file of
-finished work-unit results, one self-describing line per unit, written
-incrementally so a hard-interrupted Table 1 can resume from whatever
-completed.  The per-line codecs are the dump/load pairs of this module,
-selected by name through :data:`CHECKPOINT_CODECS`.
+:class:`JsonlAppender` is the crash-safe append discipline of the
+repository's JSONL files, and :class:`CheckpointStore` the keyed store
+built on it that the stress-corner campaign resumes from
+(``docs/CAMPAIGNS.md``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import threading
+from typing import Any, Dict, List, Optional
 
 from .circuit.defects import FloatingNode, OpenLocation
 from .core.analysis import PartialFaultFinding, QuarantinedPoint
@@ -51,8 +49,7 @@ __all__ = [
     "dump_signature_database", "load_signature_database",
     "dump_finding", "load_finding",
     "dump_quarantined_point", "load_quarantined_point",
-    "dump_open_inventory", "load_open_inventory",
-    "CHECKPOINT_CODECS", "CheckpointStore", "JsonlAppender",
+    "CheckpointStore", "JsonlAppender",
 ]
 
 _FORMAT = "repro-v1"
@@ -255,87 +252,29 @@ def load_quarantined_point(data: Dict[str, Any]) -> QuarantinedPoint:
     )
 
 
-def dump_open_inventory(result) -> Dict[str, Any]:
-    """One open's Table 1 unit result: its inventory rows and the grid
-    points its guards quarantined (``(rows, quarantined)``)."""
-    rows, quarantined = result
-    return _tagged(
-        {
-            "rows": [
-                {
-                    "ffm_sim": row.ffm_sim.name,
-                    "ffm_com": row.ffm_com.name,
-                    "open": row.open_number,
-                    "completed": (
-                        None if row.completed is None
-                        else dump_fp(row.completed)
-                    ),
-                    "floating": row.floating,
-                    "marginal": row.marginal,
-                }
-                for row in rows
-            ],
-            "quarantined": [dump_quarantined_point(q) for q in quarantined],
-        },
-        "table1-open",
-    )
-
-
-def load_open_inventory(data: Dict[str, Any]):
-    # Imported here: the experiments sit above this module.
-    from .experiments.table1 import InventoryRow
-
-    data = _check(data, "table1-open")
-    rows = [
-        InventoryRow(
-            ffm_sim=FFM[row["ffm_sim"]],
-            ffm_com=FFM[row["ffm_com"]],
-            open_number=row["open"],
-            completed=(
-                None if row["completed"] is None
-                else load_fp(row["completed"])
-            ),
-            floating=row["floating"],
-            marginal=row["marginal"],
-        )
-        for row in data["rows"]
-    ]
-    return rows, [load_quarantined_point(q) for q in data["quarantined"]]
-
-
-def _identity(value: Any) -> Any:
-    return value
-
-
-#: Named dump/load pairs for checkpoint lines.  ``"json"`` passes
-#: JSON-native results (bools, numbers, strings, lists) through as-is.
-CHECKPOINT_CODECS: Dict[
-    str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]
-] = {
-    "json": (_identity, _identity),
-    "table1-open": (dump_open_inventory, load_open_inventory),
-}
-
-
 class JsonlAppender:
     """Crash-safe JSONL appends: one record, one ``write()``, ``O_APPEND``.
 
-    The durability discipline shared by :class:`CheckpointStore` and the
-    sweep service's job journal (``repro.service.journal``):
+    The durability discipline of the sweep service's job journal
+    (``repro.service.journal``) and of :class:`CheckpointStore`.  Each
+    such file has one writing process: the journal is written by the
+    ``serve`` process that owns its work directory, a campaign
+    checkpoint by its ``campaign run`` process (whose corner threads
+    share one appender).
 
-    * the descriptor is opened with ``O_APPEND``, so concurrent writers
-      sharing the file interleave *whole* records (POSIX appends to a
-      regular file are atomic per ``write()``);
-    * each record plus its newline goes to the OS in a **single**
-      unbuffered ``os.write`` — no userspace buffer, no flush window;
-    * a short write (disk full, signal delivery) raises ``OSError``
-      instead of issuing a continuation write that could land inside a
-      concurrent writer's record — the abandoned partial line is exactly
-      the torn tail that tolerant readers skip.
+    * Each record plus its newline goes to the OS in a **single**
+      unbuffered ``os.write`` on an ``O_APPEND`` descriptor: no
+      userspace buffer, no flush window.
+    * A short write (disk full, signal delivery) raises ``OSError``
+      instead of issuing a continuation write.  The abandoned partial
+      line is a torn tail that tolerant readers skip.
+    * A record never lands on a torn line: the first append to a file
+      that does not end in a newline (a kill or a short write tore its
+      tail), and the first append after a failed one, start on a fresh
+      line.  At worst that leaves an empty line, which readers skip.
 
     ``fsync=True`` additionally syncs after every append, trading append
-    latency for power-loss durability (a service journal wants it; a
-    high-frequency unit checkpoint usually does not).
+    latency for power-loss durability (a service journal wants it).
     """
 
     def __init__(
@@ -345,36 +284,40 @@ class JsonlAppender:
         self.fsync = fsync
         self.label = label
         self._fd: Optional[int] = None
+        self._fresh_line = False
+        self._lock = threading.Lock()
 
-    def append(self, record: Dict[str, Any], fresh_line: bool = False) -> int:
-        """Append one record as one ``write()``; returns bytes written.
-
-        ``fresh_line`` puts a newline before the record, ending a torn
-        line an earlier failed append left behind.  Only a file's single
-        writer may ask for it: with concurrent writers the file's last
-        line may be another writer's complete record.
-        """
-        line = json.dumps(record) + "\n"
-        data = ("\n" + line if fresh_line else line).encode("utf-8")
-        if self._fd is None:
-            self._fd = os.open(
-                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-        written = os.write(self._fd, data)
-        if written != len(data):
-            raise OSError(
-                f"short {self.label} append to {self.path}: "
-                f"{written}/{len(data)} bytes; record abandoned "
-                "(tolerant readers skip the torn tail)"
-            )
-        if self.fsync:
-            os.fsync(self._fd)
+    def append(self, record: Dict[str, Any]) -> int:
+        """Append one record as one ``write()``; returns bytes written."""
+        line = (json.dumps(record) + "\n").encode("utf-8")
+        with self._lock:
+            if self._fd is None:
+                self._fd = os.open(
+                    self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
+                )
+                size = os.fstat(self._fd).st_size
+                self._fresh_line = (
+                    size > 0 and os.pread(self._fd, 1, size - 1) != b"\n"
+                )
+            data = b"\n" + line if self._fresh_line else line
+            self._fresh_line = True  # until this write is known whole
+            written = os.write(self._fd, data)
+            if written != len(data):
+                raise OSError(
+                    f"short {self.label} append to {self.path}: "
+                    f"{written}/{len(data)} bytes; record abandoned "
+                    "(tolerant readers skip the torn tail)"
+                )
+            self._fresh_line = False
+            if self.fsync:
+                os.fsync(self._fd)
         return written
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        with self._lock:
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
 
     def __enter__(self) -> "JsonlAppender":
         return self
@@ -384,29 +327,19 @@ class JsonlAppender:
 
 
 class CheckpointStore:
-    """Append-only JSONL store of finished work-unit results.
+    """Append-only JSONL store of finished results under stable keys.
 
     Each line is a self-describing record::
 
         {"format": "repro-v1", "kind": "checkpoint-unit",
-         "key": "<stable unit key>", "codec": "<CHECKPOINT_CODECS name>",
-         "payload": <codec dump of the unit result>}
+         "key": "<stable key>", "payload": <JSON value>}
 
-    :meth:`record` appends one line per finished unit, so a run killed
-    mid-sweep loses at most the units still in flight.  Each record is
-    written as a *single* ``write()`` to a file descriptor opened with
-    ``O_APPEND``, so concurrent writers sharing one checkpoint file —
-    sweep-service scheduler workers, a CLI run resuming alongside them —
-    interleave whole records rather than tearing each other's lines
-    (POSIX appends to a regular file are atomic per ``write()``; the
-    guarantee covers the normal complete-write case — a partial write,
-    possible on a full disk or signal delivery, raises instead of being
-    continued, because a follow-up ``write()`` could land inside a
-    concurrent writer's record).
-    :meth:`load` tolerates a hard interrupt: a torn (half-written) tail
-    line, unknown codecs, and undecodable payloads are skipped rather
-    than failing the resume — those units simply re-run.  Duplicate keys
-    keep the last occurrence.
+    The stress-corner campaign records one line per finished corner job
+    and resumes from them.  :meth:`record` appends through a
+    :class:`JsonlAppender`, so a run killed mid-way loses at most the
+    record in flight.  :meth:`load` tolerates a hard interrupt: torn
+    lines, empty lines and foreign records are skipped rather than
+    failing the resume, and duplicate keys keep the last occurrence.
     """
 
     def __init__(self, path: str) -> None:
@@ -414,7 +347,7 @@ class CheckpointStore:
         self._appender = JsonlAppender(path, label="checkpoint")
 
     def load(self) -> Dict[str, Any]:
-        """Decode every recoverable ``key -> result`` entry of the file."""
+        """Every recoverable ``key -> payload`` entry of the file."""
         results: Dict[str, Any] = {}
         if not os.path.exists(self.path):
             return results
@@ -426,40 +359,24 @@ class CheckpointStore:
                 try:
                     entry = json.loads(line)
                 except json.JSONDecodeError:
-                    continue  # torn tail line from a hard interrupt
-                if not isinstance(entry, dict):
-                    continue
-                if entry.get("format") != _FORMAT:
-                    continue
-                if entry.get("kind") != "checkpoint-unit":
-                    continue
-                codec = CHECKPOINT_CODECS.get(entry.get("codec"))
-                if codec is None or "key" not in entry:
-                    continue
-                try:
-                    results[entry["key"]] = codec[1](entry["payload"])
-                except (KeyError, TypeError, ValueError):
-                    continue  # undecodable payload: re-run the unit
+                    continue  # torn line from a hard interrupt
+                if (
+                    isinstance(entry, dict)
+                    and entry.get("format") == _FORMAT
+                    and entry.get("kind") == "checkpoint-unit"
+                    and "key" in entry
+                    and "payload" in entry
+                ):
+                    results[entry["key"]] = entry["payload"]
         return results
 
-    def record(self, key: str, result: Any, codec: str = "json") -> None:
-        """Append one finished unit as one unbuffered ``write()``.
-
-        Delegates to :class:`JsonlAppender`, which writes the whole line
-        (record + newline) in a single ``os.write`` on an ``O_APPEND``
-        descriptor — so another writer appending to the same file can
-        never land *inside* this record, and a short write (disk full,
-        signal) raises ``OSError`` instead of issuing a continuation
-        write.  The abandoned partial line is exactly the torn tail
-        :meth:`load` already skips.
-        """
-        dump, _ = CHECKPOINT_CODECS[codec]
+    def record(self, key: str, payload: Any) -> None:
+        """Append one JSON-native ``payload`` under ``key``."""
         self._appender.append({
             "format": _FORMAT,
             "kind": "checkpoint-unit",
             "key": key,
-            "codec": codec,
-            "payload": dump(result),
+            "payload": payload,
         })
 
     def close(self) -> None:

@@ -221,7 +221,7 @@ def run_march_lanes(
         jobs = default_jobs(len(units))
     elif not fork_safe():
         jobs = 1
-    outcome = parallel_map_ex(
+    unit_results = parallel_map_ex(
         _group_unit,
         [
             ([tests[t] for t in stacked], group, presets, technology, n_rows,
@@ -229,10 +229,9 @@ def run_march_lanes(
             for group in units
         ],
         jobs=jobs,
-        strict=True,
         costs=[_unit_cost(group) for group in units],
     )
-    for indices, per_test in zip(groups.values(), outcome.results):
+    for indices, per_test in zip(groups.values(), unit_results):
         for t, lane_results in zip(stacked, per_test):
             for (g, j), result in lane_results.items():
                 results[t][indices[g]][j] = result

@@ -11,8 +11,7 @@ result-database / front-end split — see ``docs/SERVICE.md``):
 * :mod:`repro.service.queue` — a bounded priority :class:`JobQueue`
   with dedup, 429-style admission control, and cancellation;
 * :mod:`repro.service.scheduler` — :class:`Scheduler` workers draining
-  the queue into the ``repro.parallel`` fan-out with retry/checkpoint
-  resilience;
+  the queue into the strict ``repro.parallel`` fan-out;
 * :mod:`repro.service.executors` — the pluggable compute step:
   :class:`ThreadJobExecutor` runs each claimed job on the scheduler's
   own worker thread, :class:`ProcessJobExecutor` isolates it in a
@@ -23,8 +22,8 @@ result-database / front-end split — see ``docs/SERVICE.md``):
   quarantined, and the client's one resubmission recomputes it;
 * :mod:`repro.service.journal` — :class:`JobJournal`, the append-only
   write-ahead log of job transitions that makes the queue restart-safe:
-  replayed on start, pending jobs re-enqueue and in-flight ones resume
-  from their unit checkpoints;
+  replayed on start, pending and in-flight jobs re-enqueue, and an
+  interrupted job re-runs whole (the one recovery level);
 * :mod:`repro.service.api` / :mod:`repro.service.client` —
   :class:`SweepService` (a ``ThreadingHTTPServer`` JSON API) and
   :class:`ServiceClient`, wired into the CLI as

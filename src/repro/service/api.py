@@ -66,7 +66,6 @@ from urllib.parse import parse_qs, urlparse
 from .. import __version__, telemetry
 from ..circuit.network import ensemble_cache_info, propagator_cache_info
 from ..errors import ClientQuotaError, QueueFullError, SpecValidationError
-from ..parallel import RetryPolicy
 from ..telemetry import events as event_log
 from ..telemetry import exposition
 from .jobs import JobSpec, JobState
@@ -651,7 +650,6 @@ class SweepService:
         store_max: int = 128,
         store_ttl: Optional[float] = None,
         work_dir: Optional[str] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         enable_telemetry: bool = True,
         trace_export: Optional[str] = None,
         executor: str = "thread",
@@ -663,8 +661,8 @@ class SweepService:
         self.store = ResultStore(
             root=store_dir, max_entries=store_max, ttl=store_ttl
         )
-        #: The job journal (WAL) lives next to the unit checkpoints: it
-        #: is on exactly when a work dir is given.
+        #: The job journal (WAL) is the work dir's one file: it is on
+        #: exactly when a work dir is given.
         self.journal: Optional[JobJournal] = None
         if work_dir is not None:
             os.makedirs(work_dir, exist_ok=True)
@@ -688,8 +686,6 @@ class SweepService:
             self.queue,
             self.store,
             workers=workers,
-            work_dir=work_dir,
-            retry_policy=retry_policy,
             trace_export=trace_export,
             executor=executor,
         )
@@ -782,7 +778,7 @@ class SweepService:
         (``JobQueue.submit(recovered=True)``).  The old records stay
         until one atomic compaction to the live set after the last
         re-admission, so a kill during recovery loses no job.  In-flight
-        jobs resume from their unit checkpoint.  A job whose cancel
+        jobs re-run whole.  A job whose cancel
         request was journaled settles cancelled, and so does the earlier
         of two live jobs sharing an address (it ran with a cancel
         request pending).  Idempotent: the CLI runs it early to report

@@ -12,17 +12,16 @@ delegate the compute itself to an *executor*:
   from a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
   (``repro.parallel``'s fan-out substrate, one level up): jobs stop
   sharing a GIL *and* stop sharing mutable process-global state — the
-  per-job resilience ledger and progress hooks are exact by
-  construction because each job owns its interpreter.
+  per-job progress hooks are exact by construction because each job
+  owns its interpreter.
 
 Both executors return a :class:`JobOutcome`, a plain picklable record
 of what happened: the stored result payload (already rendered by
 :func:`~repro.service.jobs.result_payload`, so only JSON crosses the
-process boundary), a structured error, the drained per-job
-:class:`~repro.parallel.ResilienceLog` counts, and — for the process
-executor — the worker's telemetry snapshot and span-tree state, which
-the parent merges and re-parents under the job's ``service.job`` span
-exactly like ``parallel.py`` does for fan-out units.
+process boundary), a structured error, and — for the process executor —
+the worker's telemetry snapshot and span-tree state, which the parent
+merges and re-parents under the job's ``service.job`` span exactly like
+``parallel.py`` does for fan-out units.
 
 Progress events cross the process boundary over one shared
 ``multiprocessing`` queue (inherited by the pool workers at fork/spawn
@@ -32,11 +31,9 @@ right job's event ring via :meth:`~repro.service.queue.JobQueue.emit` —
 SSE streaming, long-polling, and ``submit --wait --follow`` behave
 identically under either executor.
 
-Recovery follows the PR-3 playbook: a worker process that dies mid-job
-(OOM kill, segfault) surfaces as ``BrokenProcessPool``; the executor
-rebuilds the pool and — when the :class:`~repro.parallel.RetryPolicy`
-allows fallback — re-runs the job in-process via the thread executor,
-resuming from the job's unit checkpoint when one exists
+Recovery is at the job level: a worker process that dies mid-job (OOM
+kill, segfault) surfaces as ``BrokenProcessPool``; the executor rebuilds
+the pool and re-runs the whole job in process via the thread executor
 (``service.executor.pool_breaks`` / ``service.executor.fallbacks``).
 """
 
@@ -49,15 +46,11 @@ import threading
 import traceback
 from concurrent.futures import ProcessPoolExecutor, wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from .. import telemetry
-from ..io import CheckpointStore
-from ..parallel import (
-    Resilience, RetryPolicy, ResilienceLog, add_progress_listener,
-    drain_resilience_log, remove_progress_listener,
-)
+from ..parallel import add_progress_listener, remove_progress_listener
 from ..telemetry import events as event_log
 from .jobs import Job, JobSpec, result_payload
 from .queue import JobQueue
@@ -69,35 +62,19 @@ __all__ = [
 ]
 
 
-def _resilience_counts(log: ResilienceLog) -> Dict[str, int]:
-    """The picklable summary a ``resilience`` job event carries."""
-    return {
-        "retries": log.retries,
-        "timeouts": log.timeouts,
-        "fallbacks": log.fallbacks,
-        "pool_breaks": log.pool_breaks,
-        "resumed": log.resumed,
-        "failures": len(log.failures),
-    }
-
-
 @dataclass
 class JobOutcome:
     """What one executed job produced, in picklable form.
 
     Exactly one of ``payload`` (the JSON result document) and
-    ``error_type`` is set.  ``resilience`` holds the job's *own* drained
-    recovery counts — per-thread in the thread executor, per-process in
-    the process executor, exact either way.  ``metrics`` and
-    ``trace_state`` are only populated by worker processes; the parent
-    folds them home.
+    ``error_type`` is set.  ``metrics`` and ``trace_state`` are only
+    populated by worker processes; the parent folds them home.
     """
 
     payload: Optional[Dict[str, Any]] = None
     error_type: Optional[str] = None
     error: Optional[str] = None
     traceback: Optional[str] = None
-    resilience: Dict[str, int] = field(default_factory=dict)
     metrics: Optional[Dict[str, Any]] = None
     trace_state: Optional[Dict[str, Any]] = None
     #: True when a broken worker process forced an in-process re-run.
@@ -107,18 +84,14 @@ class JobOutcome:
     def failed(self) -> bool:
         return self.error_type is not None
 
-    def any_resilience(self) -> bool:
-        return any(self.resilience.values())
-
 
 class ThreadJobExecutor:
     """Run each job in the claiming scheduler thread (PR-5 behaviour)."""
 
     kind = "thread"
 
-    def __init__(self, queue: JobQueue, retry_policy: RetryPolicy) -> None:
+    def __init__(self, queue: JobQueue) -> None:
         self.queue = queue
-        self.retry_policy = retry_policy
 
     def start(self) -> None:  # lifecycle symmetry with the process executor
         pass
@@ -126,39 +99,27 @@ class ThreadJobExecutor:
     def stop(self, timeout: float = 5.0) -> None:
         pass
 
-    def run_job(self, job: Job, checkpoint_path: Optional[str]) -> JobOutcome:
+    def run_job(self, job: Job) -> JobOutcome:
         spec = job.spec
         profile = spec.profile()
-        checkpoint = (
-            CheckpointStore(checkpoint_path)
-            if checkpoint_path is not None else None
-        )
-        resilience = Resilience(policy=self.retry_policy, checkpoint=checkpoint)
-        drain_resilience_log()  # clear this thread's residue (exact ledger)
 
         def on_progress(kind: str, info: dict) -> None:
-            # Fan-out milestones (unit completions, retries, timeouts,
-            # fallbacks, resumes) become job progress events, which
+            # Fan-out unit completions become job progress events, which
             # feed GET /jobs/<id>/events live.
             self.queue.emit(job, "progress", kind=kind, **info)
 
         add_progress_listener(on_progress)
         try:
-            result = profile.run(spec, resilience)
+            result = profile.run(spec)
         except Exception as exc:  # noqa: BLE001 — report, don't crash
             return JobOutcome(
                 error_type=type(exc).__name__,
                 error=str(exc),
                 traceback=traceback.format_exc(limit=8),
-                resilience=_resilience_counts(drain_resilience_log()),
             )
         finally:
             remove_progress_listener(on_progress)
-            if checkpoint is not None:
-                checkpoint.close()
-        counts = _resilience_counts(drain_resilience_log())
-        payload = result_payload(spec, result)
-        return JobOutcome(payload=payload, resilience=counts)
+        return JobOutcome(payload=result_payload(spec, result))
 
 
 # -- the process executor ------------------------------------------------------
@@ -207,25 +168,16 @@ def _warmup(_: int) -> int:
 def _process_job_worker(
     job_id: str,
     spec_json: Dict[str, Any],
-    checkpoint_path: Optional[str],
-    policy: RetryPolicy,
     telemetry_on: bool,
 ) -> JobOutcome:
     """Run one job inside a pool worker; everything returned must pickle.
 
     The worker's telemetry is reset before and disabled after the job so
     the shipped snapshot/span state covers exactly this job (workers are
-    reused across jobs).  The resilience ledger drained here is the
-    worker process's own — no other job can have written to it.
+    reused across jobs).
     """
     spec = JobSpec.from_json(spec_json)
     profile = spec.profile()
-    checkpoint = (
-        CheckpointStore(checkpoint_path)
-        if checkpoint_path is not None else None
-    )
-    resilience = Resilience(policy=policy, checkpoint=checkpoint)
-    drain_resilience_log()
     event_queue = _WORKER_EVENTS
 
     def on_progress(kind: str, info: dict) -> None:
@@ -250,7 +202,7 @@ def _process_job_worker(
                     "service.job.worker",
                     experiment=spec.experiment, job=job_id, pid=os.getpid(),
                 ):
-                    result = profile.run(spec, resilience)
+                    result = profile.run(spec)
                 outcome.payload = result_payload(spec, result)
             except Exception as exc:  # noqa: BLE001 — ship it home structured
                 outcome.error_type = type(exc).__name__
@@ -258,8 +210,6 @@ def _process_job_worker(
                 outcome.traceback = traceback.format_exc(limit=8)
     finally:
         remove_progress_listener(on_progress)
-        if checkpoint is not None:
-            checkpoint.close()
         if telemetry_on:
             telemetry.disable()
             outcome.metrics = telemetry.get_metrics().snapshot()
@@ -272,7 +222,6 @@ def _process_job_worker(
                 event_queue.put((job_id, None, None))
             except Exception:  # noqa: BLE001 — flushing is best-effort
                 pass
-    outcome.resilience = _resilience_counts(drain_resilience_log())
     return outcome
 
 
@@ -287,10 +236,9 @@ class ProcessJobExecutor:
     threaded parent mid-request.
 
     A ``BrokenProcessPool`` (worker OOM-killed or segfaulted) is
-    recovered PR-3 style: the pool is rebuilt for subsequent jobs and
-    the broken job re-runs in-process through a fallback
-    :class:`ThreadJobExecutor` when the retry policy allows it, resuming
-    from the job's unit checkpoint when one exists.
+    recovered at the job level: the pool is rebuilt for subsequent jobs
+    and the broken job re-runs whole, in process, through a fallback
+    :class:`ThreadJobExecutor`.
     """
 
     kind = "process"
@@ -298,19 +246,17 @@ class ProcessJobExecutor:
     def __init__(
         self,
         queue: JobQueue,
-        retry_policy: RetryPolicy,
         workers: int = 1,
     ) -> None:
         if workers < 1:
             raise ValueError("executor workers must be >= 1")
         self.queue = queue
-        self.retry_policy = retry_policy
         self.workers = workers
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover — non-POSIX fallback
             self._ctx = multiprocessing.get_context()
-        self._fallback = ThreadJobExecutor(queue, retry_policy)
+        self._fallback = ThreadJobExecutor(queue)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._events: Optional[Any] = None
         self._drainer: Optional[threading.Thread] = None
@@ -390,7 +336,7 @@ class ProcessJobExecutor:
 
     # -- execution -------------------------------------------------------------
 
-    def run_job(self, job: Job, checkpoint_path: Optional[str]) -> JobOutcome:
+    def run_job(self, job: Job) -> JobOutcome:
         flushed = threading.Event()
         with self._active_lock:
             self._active[job.id] = job
@@ -405,8 +351,6 @@ class ProcessJobExecutor:
                         _process_job_worker,
                         job.id,
                         job.spec.to_json(),
-                        checkpoint_path,
-                        self.retry_policy,
                         telemetry.enabled(),
                     )
                 outcome = future.result()
@@ -416,7 +360,7 @@ class ProcessJobExecutor:
                 # settles (a dead worker never sends one — bounded wait).
                 flushed.wait(timeout=2.0)
             except BrokenProcessPool:
-                return self._recover(job, pool, checkpoint_path)
+                return self._recover(job, pool)
         finally:
             with self._active_lock:
                 self._active.pop(job.id, None)
@@ -428,11 +372,9 @@ class ProcessJobExecutor:
         self,
         job: Job,
         broken: Optional[ProcessPoolExecutor],
-        checkpoint_path: Optional[str],
     ) -> JobOutcome:
-        """A worker process died mid-job: rebuild the pool, then either
-        re-run the job in-process (checkpoint-resumed) or surface the
-        break as the job's failure."""
+        """A worker process died mid-job: rebuild the pool, then re-run
+        the whole job in process."""
         telemetry.count("service.executor.pool_breaks")
         event_log.emit("service.executor.pool_broken", job=job.id)
         self.queue.emit(job, "progress", kind="executor.pool-broken")
@@ -443,16 +385,10 @@ class ProcessJobExecutor:
                 except Exception:  # noqa: BLE001 — already broken
                     pass
                 self._pool = self._make_pool()
-        if not self.retry_policy.fallback:
-            return JobOutcome(
-                error_type="BrokenProcessPool",
-                error="the job's worker process died and fallback is "
-                      "disabled by the retry policy",
-            )
         telemetry.count("service.executor.fallbacks")
         event_log.emit("service.executor.fallback", job=job.id)
         self.queue.emit(job, "progress", kind="executor.fallback")
-        outcome = self._fallback.run_job(job, checkpoint_path)
+        outcome = self._fallback.run_job(job)
         outcome.fallback = True
         return outcome
 

@@ -5,8 +5,7 @@ open locations, which sweep grid, which execution flags — in a plain,
 JSON-round-trippable form.  Its :attr:`~JobSpec.address` is a *content
 address*: a stable digest of every field that can change the result,
 with the sweep grids folded in through
-:meth:`~repro.core.analysis.SweepGrid.signature` (the same digest the
-checkpoint unit keys embed, see ``docs/ROBUSTNESS.md``).  Two
+:meth:`~repro.core.analysis.SweepGrid.signature`.  Two
 submissions with the same address are the same computation, so the
 queue coalesces them into one job and the result store serves repeats
 without recomputation (``docs/SERVICE.md``).
@@ -63,13 +62,13 @@ class ExperimentProfile:
     ``sweep`` experiments take grid overrides (``n_r``/``n_u``) whose
     resolved per-location grid signatures enter the content address;
     ``takes_opens``/``takes_completion`` gate the ``table1``-only spec
-    fields.  ``run`` receives the validated spec plus the resilience
-    bundle and returns the experiment's result object (``.report``
-    carries the rendered output).
+    fields.  ``run`` receives the validated spec and returns the
+    experiment's result object (``.report`` carries the rendered
+    output).
     """
 
     name: str
-    run: Callable[["JobSpec", Any], Any]
+    run: Callable[["JobSpec"], Any]
     sweep: bool = False
     takes_opens: bool = False
     takes_completion: bool = False
@@ -80,7 +79,7 @@ class ExperimentProfile:
     default_n_u: int = 0
 
 
-def _run_table1(spec: "JobSpec", resilience: Any) -> Any:
+def _run_table1(spec: "JobSpec") -> Any:
     from ..experiments.table1 import run_table1
 
     return run_table1(
@@ -91,13 +90,12 @@ def _run_table1(spec: "JobSpec", resilience: Any) -> Any:
         max_extra_ops=spec.resolved_max_extra_ops(),
         jobs=spec.jobs,
         grid_engine=spec.grid_engine,
-        resilience=resilience,
         guard_policy=spec.resolved_guard_policy(),
         check_marginal=spec.check_marginal,
     )
 
 
-def _run_fig3(spec: "JobSpec", resilience: Any) -> Any:
+def _run_fig3(spec: "JobSpec") -> Any:
     from ..experiments.fig3 import run_fig3
 
     return run_fig3(
@@ -109,7 +107,7 @@ def _run_fig3(spec: "JobSpec", resilience: Any) -> Any:
     )
 
 
-def _run_fig4(spec: "JobSpec", resilience: Any) -> Any:
+def _run_fig4(spec: "JobSpec") -> Any:
     from ..experiments.fig4 import run_fig4
 
     return run_fig4(
@@ -121,7 +119,7 @@ def _run_fig4(spec: "JobSpec", resilience: Any) -> Any:
     )
 
 
-def _run_march(spec: "JobSpec", resilience: Any) -> Any:
+def _run_march(spec: "JobSpec") -> Any:
     from ..experiments.march_pf import run_march_pf
 
     return run_march_pf(
@@ -130,20 +128,20 @@ def _run_march(spec: "JobSpec", resilience: Any) -> Any:
     )
 
 
-def _run_escapes(spec: "JobSpec", resilience: Any) -> Any:
+def _run_escapes(spec: "JobSpec") -> Any:
     from ..experiments.escapes import run_escapes
 
     return run_escapes(grid_engine=spec.grid_engine, jobs=spec.jobs)
 
 
-def _run_diagnosis(spec: "JobSpec", resilience: Any) -> Any:
+def _run_diagnosis(spec: "JobSpec") -> Any:
     from ..experiments.diagnosis import run_diagnosis
 
     return run_diagnosis(grid_engine=spec.grid_engine, jobs=spec.jobs)
 
 
-def _plain_runner(module: str, func: str) -> Callable[["JobSpec", Any], Any]:
-    def run(spec: "JobSpec", resilience: Any) -> Any:
+def _plain_runner(module: str, func: str) -> Callable[["JobSpec"], Any]:
+    def run(spec: "JobSpec") -> Any:
         import importlib
 
         return getattr(importlib.import_module(module), func)()
@@ -388,7 +386,7 @@ class JobSpec:
 
         The default grid depends on the location (its natural resistance
         range), so the address carries one signature per analyzed
-        location — exactly the digests the checkpoint unit keys embed.
+        location.
         """
         profile = self.profile()
         if not profile.sweep:
@@ -556,7 +554,7 @@ class Job:
     Mutable fields are guarded by the owning queue's lock; handlers read
     a :meth:`to_json` snapshot taken under that lock.  ``events`` is the
     progress trail the scheduler appends to (queued, started, cache-hit,
-    per-unit progress, resilience summary, finished/failed/cancelled) —
+    per-unit progress, finished/failed/cancelled) —
     a bounded ring buffer whose entries carry a monotone ``seq``, the
     resume cursor of the SSE endpoint (``Last-Event-ID``).
     """
@@ -580,7 +578,7 @@ class Job:
     #: True when the result came from the store without recomputation.
     cache_hit: bool = False
     #: True when this job was re-enqueued from the job journal after a
-    #: restart (it resumes from its unit checkpoint, not from scratch).
+    #: restart (it re-runs whole).
     recovered: bool = False
     events: List[Dict[str, Any]] = field(default_factory=list)
     #: Monotone sequence number of the latest event (0 = none yet).

@@ -2,11 +2,12 @@
 
 Every admitted job and every lifecycle transition is appended to one
 JSONL file under ``--work-dir`` *before* the service acts on it, using
-the same durability discipline as the unit checkpoints
-(:class:`repro.io.JsonlAppender`: ``O_APPEND``, one record per
-``write()``, short writes abandoned as a torn tail, the record after one
-started on a fresh line) plus an ``fsync`` per record — a journal that can lose acknowledged submissions is not a
-journal.
+the durability discipline of :class:`repro.io.JsonlAppender`
+(``O_APPEND``, one record per ``write()``, short writes abandoned as a
+torn tail, a record after a torn tail started on a fresh line) plus an
+``fsync`` per record — a journal that can lose acknowledged submissions
+is not a journal.  The ``serve`` process that owns the work directory is
+the file's only writer.
 
 Record shapes (one JSON object per line)::
 
@@ -23,13 +24,12 @@ Record shapes (one JSON object per line)::
 :meth:`replay` folds the log into the set of jobs that were still live
 when the process died: a ``submit`` with no terminal ``done``/``fail``/
 ``cancel`` is *pending*; one that also saw a ``claim`` was *in flight*
-(it resumes from its per-address unit checkpoint, so the crash costs
-only the uncheckpointed units); one that also saw a ``cancel_request``
-(a cancel asked of a running job) settles cancelled on recovery
-instead of running again.  Replay is tolerant the same way
-checkpoint loads are: a torn tail line, unknown ops, undecodable
-records, and terminal records for unknown jobs are skipped, never
-fatal.
+(it re-runs whole); one that also saw a ``cancel_request`` (a cancel
+asked of a running job) settles cancelled on recovery instead of
+running again.  Replay is tolerant the same way
+:class:`repro.io.CheckpointStore` loads are: torn lines, unknown ops,
+undecodable records, and terminal records for unknown jobs are skipped,
+never fatal.
 
 The journal is bounded by compaction: :meth:`compact` atomically
 rewrites the file to contain only the given live records (temp file +
@@ -75,8 +75,7 @@ class JournalEntry:
     priority: int = 0
     client: Optional[str] = None
     #: True when a ``claim`` record followed the ``submit`` — the job
-    #: was running when the process died and will resume from its unit
-    #: checkpoint.
+    #: was running when the process died and re-runs whole.
     in_flight: bool = False
     #: True when a ``cancel_request`` record followed the ``submit`` —
     #: a cancel was asked of the running job; recovery settles it
@@ -125,11 +124,6 @@ class JobJournal:
         self.stats = JournalStats()
         self._lock = threading.Lock()
         self._appender = JsonlAppender(path, fsync=True)
-        #: Set by a failed append, which may have left a partial line
-        #: without its newline: the next record then starts on a fresh
-        #: line instead of being glued onto the torn one.  The journal is
-        #: its file's only writer, so this cannot split anyone's record.
-        self._torn = False
 
     # -- writing ---------------------------------------------------------------
 
@@ -149,12 +143,10 @@ class JobJournal:
         }
         with self._lock:
             try:
-                written = self._appender.append(record, fresh_line=self._torn)
+                written = self._appender.append(record)
             except OSError:
                 self.stats.errors += 1
-                self._torn = True
                 raise
-            self._torn = False
             self.stats.records += 1
             self.stats.lag += 1
             self.stats.bytes += written
@@ -337,7 +329,6 @@ class JobJournal:
         os.replace(tmp, self.path)
         _fsync_dir(os.path.dirname(self.path) or ".")
         self._appender = JsonlAppender(self.path, fsync=True)
-        self._torn = False
         self.stats.compactions += 1
         self.stats.records = len(records)
         self.stats.lag = len(records)

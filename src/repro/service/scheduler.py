@@ -10,11 +10,9 @@ Each worker thread loops ``claim -> serve-from-store-or-run -> settle``:
   (``executor="thread"``, the default) or in a worker process from a
   persistent pool (``executor="process"`` — jobs stop sharing the GIL
   and all mutable process-global state).  Either way the job's runner
-  fans out over ``repro.parallel`` with the PR-3 resilience layer: a
-  :class:`~repro.parallel.RetryPolicy` plus a per-address
-  :class:`~repro.io.CheckpointStore` under ``work_dir``, so a job that
-  fails (or a service that crashes) resumes from the units that
-  completed when the same computation is submitted again;
+  fans out over ``repro.parallel``, which is strict: a failing unit
+  fails the job, and a job that a crash interrupted re-runs whole when
+  the journal re-admits it (``docs/ROBUSTNESS.md``);
 * the finished result is converted to its JSON payload
   (:func:`~repro.service.jobs.result_payload` — inside the worker
   process under the process executor, so only JSON crosses the
@@ -28,14 +26,11 @@ the computed result — it is valid and content-addressed — but the job
 settles CANCELLED).
 
 Progress events land on ``job.events`` (started, cache-hit, per-unit
-progress via the parallel layer's listener hook — routed across the
-process boundary by the executor's event queue when the job runs
-remotely — resilience summary, finished/failed/cancelled) and feed the
-SSE endpoint live.  Recovery activity recorded by the parallel layer is
-drained per job — the ledger is thread-local (process-local for worker
-processes), so with any number of concurrent workers each job's
-``resilience`` event carries exactly its own retries, timeouts,
-fallbacks, and failures.
+progress via the parallel layer's per-thread listener hook — routed
+across the process boundary by the executor's event queue when the job
+runs remotely — finished/failed/cancelled) and feed the SSE endpoint
+live.  Listeners are per thread (per process for worker processes), so
+with any number of concurrent workers each job sees only its own units.
 
 Observability: each worker thread stamps a heartbeat every loop
 iteration (:meth:`Scheduler.heartbeats` — surfaced by ``/healthz``,
@@ -50,13 +45,11 @@ incrementally.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Dict, List, Optional, Union
 
 from .. import telemetry
-from ..parallel import RetryPolicy
 from ..telemetry import events as event_log
 from .executors import JobOutcome, ProcessJobExecutor, ThreadJobExecutor
 from .jobs import Job
@@ -73,10 +66,8 @@ class Scheduler:
     """Worker threads executing queued jobs against the engine.
 
     ``workers`` is the number of concurrent *jobs* (each job may itself
-    fan out over ``spec.jobs`` worker processes); ``work_dir`` enables
-    per-address checkpoint files; ``retry_policy`` governs unit
-    recovery inside each job's fan-out; ``executor`` selects where the
-    job's compute runs — ``"thread"`` (in the claiming thread) or
+    fan out over ``spec.jobs`` worker processes); ``executor`` selects
+    where the job's compute runs — ``"thread"`` (in the claiming thread) or
     ``"process"`` (a worker process per job, see
     :mod:`repro.service.executors`).
     """
@@ -86,8 +77,6 @@ class Scheduler:
         queue: JobQueue,
         store: ResultStore,
         workers: int = 1,
-        work_dir: Optional[str] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         poll_interval: float = 0.2,
         trace_export: Optional[str] = None,
         executor: Union[str, ThreadJobExecutor, ProcessJobExecutor] = "thread",
@@ -97,10 +86,6 @@ class Scheduler:
         self.queue = queue
         self.store = store
         self.workers = workers
-        self.work_dir = work_dir
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy()
-        )
         self.poll_interval = poll_interval
         self.trace_export = trace_export
         if isinstance(executor, str):
@@ -110,19 +95,15 @@ class Scheduler:
                     f"not {executor!r}"
                 )
             if executor == "process":
-                self.executor = ProcessJobExecutor(
-                    queue, self.retry_policy, workers=workers
-                )
+                self.executor = ProcessJobExecutor(queue, workers=workers)
             else:
-                self.executor = ThreadJobExecutor(queue, self.retry_policy)
+                self.executor = ThreadJobExecutor(queue)
         else:
             self.executor = executor
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
         self._heartbeats: Dict[str, float] = {}
         self._export_lock = threading.Lock()
-        if work_dir is not None:
-            os.makedirs(work_dir, exist_ok=True)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -227,11 +208,6 @@ class Scheduler:
             except OSError:
                 pass  # a full/readonly disk must not kill the worker
 
-    def _checkpoint_path(self, job: Job) -> Optional[str]:
-        if self.work_dir is None:
-            return None
-        return os.path.join(self.work_dir, job.address + ".ckpt")
-
     def _execute(self, job: Job) -> None:
         if job.cancel_requested:
             self.queue.mark_cancelled(job)
@@ -241,14 +217,10 @@ class Scheduler:
             self.queue.emit(job, "cache-hit", address=job.address)
             self.queue.finish(job, cache_hit=True)
             return
-        checkpoint_path = self._checkpoint_path(job)
         if job.recovered:
-            # Re-enqueued from the job journal after a restart; if a
-            # unit checkpoint survives it resumes below, otherwise it
-            # reruns from scratch — either way no client resubmitted it.
+            # Re-enqueued from the job journal after a restart: it
+            # re-runs whole, and no client resubmitted it.
             self.queue.emit(job, "recovered", address=job.address)
-        if checkpoint_path is not None and os.path.exists(checkpoint_path):
-            self.queue.emit(job, "resuming", checkpoint=checkpoint_path)
         with telemetry.span(
             "service.job",
             experiment=job.spec.experiment, job=job.id,
@@ -261,8 +233,7 @@ class Scheduler:
                 # process — starts).
                 job.trace_id = telemetry.get_tracer().trace_id
                 job.root_span = sp.span_id
-            outcome = self.executor.run_job(job, checkpoint_path)
-        self._attach_resilience(job, outcome)
+            outcome = self.executor.run_job(job)
         if outcome.failed:
             self.queue.emit(
                 job,
@@ -274,29 +245,10 @@ class Scheduler:
             return
         assert outcome.payload is not None
         self.store.put(job.address, outcome.payload)
-        if checkpoint_path is not None:
-            # The result is in the store; the unit-level checkpoint has
-            # served its purpose and would only grow the work dir.
-            try:
-                os.remove(checkpoint_path)
-            except OSError:
-                pass
         if job.cancel_requested:
             self.queue.mark_cancelled(job)
             return
         self.queue.finish(job, cache_hit=False)
-
-    def _attach_resilience(self, job: Job, outcome: JobOutcome) -> None:
-        """Fold the job's recovery ledger into its events.
-
-        The ledger is exact: the parallel layer accumulates it per
-        thread (per worker process under the process executor), so the
-        numbers are precisely this job's recoveries — concurrent jobs
-        can no longer leak events into each other.
-        """
-        if not outcome.any_resilience():
-            return
-        self.queue.emit(job, "resilience", **outcome.resilience)
 
 
 class _OutcomeError(Exception):

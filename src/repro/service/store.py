@@ -32,7 +32,7 @@ A ``get`` refreshes recency, a ``put`` counts as first use.
 Payloads are the JSON documents of
 :func:`repro.service.jobs.result_payload`, whose nested objects (fault
 primitives, quarantined points) are encoded with the :mod:`repro.io`
-codecs — the same dump/load pairs the checkpoint JSONL lines use.
+dump functions.
 """
 
 from __future__ import annotations

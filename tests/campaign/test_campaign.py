@@ -59,7 +59,7 @@ class TestLocalCampaign:
 
     def test_nominal_payload_matches_a_direct_run_exactly(self, result):
         spec = small_config().base_spec()
-        direct = result_payload(spec, spec.profile().run(spec, None))
+        direct = result_payload(spec, spec.profile().run(spec))
         assert result.payload_for("nominal") == direct
 
     def test_stressed_corner_moves_the_inventory(self, result):
@@ -104,7 +104,7 @@ def canned_local(monkeypatch):
     """Replace per-corner execution with an instant canned payload."""
     calls = []
 
-    def execute(spec, work_dir, retry_policy):
+    def execute(spec):
         calls.append(spec.address)
         return fake_payload(spec)
 
@@ -152,11 +152,33 @@ class TestCheckpointResume:
         assert (result.executed, result.resumed) == (2, 0)
 
 
+    def test_a_second_resume_after_a_torn_tail_executes_nothing(
+        self, tmp_path, canned_local
+    ):
+        # A kill tears the last corner record.  The resume re-runs that
+        # corner, and its new record must not be glued onto the torn
+        # line and lost with it, or every later resume re-runs it too.
+        from repro.inject import CheckpointTailTruncator
+
+        path = str(tmp_path / "campaign.jsonl")
+        run_matrix_campaign(small_config(checkpoint_path=path))
+        with CheckpointTailTruncator(path, seed=1, max_bytes=10):
+            pass
+        first = run_matrix_campaign(
+            small_config(checkpoint_path=path, resume=True)
+        )
+        assert (first.executed, first.resumed) == (1, 1)
+        second = run_matrix_campaign(
+            small_config(checkpoint_path=path, resume=True)
+        )
+        assert (second.executed, second.resumed) == (0, 2)
+
+
 class TestFailureHandling:
     def test_failed_corners_raise_after_all_corners_settle(
         self, tmp_path, monkeypatch
     ):
-        def execute(spec, work_dir, retry_policy):
+        def execute(spec):
             if spec.technology is not None:
                 raise RuntimeError("corner exploded")
             return fake_payload(spec)
@@ -173,7 +195,7 @@ class TestFailureHandling:
         # retry only needs the corner that failed.
         monkeypatch.setattr(
             campaign_runner, "_execute_local",
-            lambda spec, work_dir, retry_policy: fake_payload(spec),
+            fake_payload,
         )
         result = run_matrix_campaign(
             small_config(checkpoint_path=path, resume=True)

@@ -30,15 +30,15 @@ def _square(x):
 def test_parallel_map_preserves_payload_order():
     payloads = list(range(20))
     for jobs in (1, 4):
-        outcome = parallel_map_ex(_square, payloads, jobs=jobs, strict=True)
-        assert outcome.results == [x * x for x in payloads]
+        results = parallel_map_ex(_square, payloads, jobs=jobs)
+        assert results == [x * x for x in payloads]
 
 
 def test_parallel_map_merges_worker_telemetry():
     telemetry.reset()
     telemetry.enable()
     try:
-        parallel_map_ex(_observe_unit, [1.0, 2.0, 3.0], jobs=2, strict=True)
+        parallel_map_ex(_observe_unit, [1.0, 2.0, 3.0], jobs=2)
         registry = telemetry.get_metrics()
         assert registry.counter_value("test.parallel_units") == 3
         hist = registry.snapshot()["histograms"]["test.parallel_sample"]

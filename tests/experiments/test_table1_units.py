@@ -3,11 +3,9 @@
 Each open's surveys, completion searches and marginal checks run on one
 analyzer as one unit.  A pool takes the costliest open first, but rows,
 quarantined points and telemetry come back in location order, so the
-report is byte-identical for any worker count; a checkpoint holds one
-line per finished open and a resume skips those opens.
+report is byte-identical for any worker count.
 """
 
-import json
 import os
 
 import repro.parallel as par
@@ -17,10 +15,7 @@ from repro.circuit.network import GuardPolicy
 from repro.core.analysis import ColumnFaultAnalyzer, default_grid_for
 from repro.experiments import table1
 from repro.inject import SolverNaNInjector
-from repro.io import CheckpointStore
-from repro.parallel import (
-    Resilience, default_jobs, drain_resilience_log,
-)
+from repro.parallel import default_jobs
 
 COARSE = dict(n_r=4, n_u=3)
 OPENS = (OpenLocation.CELL, OpenLocation.BL_PRECHARGE_CELLS,
@@ -132,43 +127,6 @@ def test_default_jobs_caps_at_units_and_stays_in_process_when_unsafe(
         assert default_jobs(9) == 1
     monkeypatch.setattr(par.threading, "active_count", lambda: 2)
     assert default_jobs(9) == 1
-
-
-def test_resume_from_half_a_per_open_checkpoint(tmp_path, monkeypatch):
-    opens = OPENS + (OpenLocation.REFERENCE_CELL,)
-    clean = table1.run_table1(opens=opens, jobs=1, **COARSE)
-    path = str(tmp_path / "table1.ckpt")
-    drain_resilience_log()
-    res = Resilience(checkpoint=CheckpointStore(path))
-    full = table1.run_table1(opens=opens, jobs=2, resilience=res, **COARSE)
-    res.checkpoint.close()
-    assert full.report.render() == clean.report.render()
-    lines = open(path, encoding="utf-8").read().splitlines(True)
-    assert len(lines) == len(opens)  # one line per open
-
-    half = str(tmp_path / "half.ckpt")
-    with open(half, "w", encoding="utf-8") as fh:
-        fh.writelines(lines[: len(lines) // 2])
-    kept = {
-        json.loads(line)["key"].split("|")[1]
-        for line in lines[: len(lines) // 2]
-    }
-    real_unit = table1._analyze_open
-
-    def only_missing(payload):
-        assert payload[0].location.name not in kept, "resumed open re-ran"
-        return real_unit(payload)
-
-    monkeypatch.setattr(table1, "_analyze_open", only_missing)
-    drain_resilience_log()
-    res2 = Resilience(checkpoint=CheckpointStore(half))
-    resumed = table1.run_table1(
-        opens=opens, jobs=1, resilience=res2, **COARSE
-    )
-    res2.checkpoint.close()
-    assert resumed.rows == clean.rows
-    assert resumed.report.render() == clean.report.render()
-    assert drain_resilience_log().resumed == len(lines) // 2
 
 
 def test_pooled_telemetry_equals_in_process():

@@ -18,7 +18,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.parallel import Resilience, RetryPolicy, parallel_map_ex
+from repro import telemetry
+from repro.parallel import parallel_map_ex
 from repro.service.jobs import JobSpec, JobState, result_payload
 from repro.service.queue import JobQueue
 from repro.service.scheduler import Scheduler
@@ -48,20 +49,24 @@ def _wait_running(job, timeout=5.0):
     assert job.state is JobState.RUNNING
 
 
-def _resilience_events(job):
-    return [e for e in job.events if e["event"] == "resilience"]
+def _unit_events(job):
+    return [e for e in job.events if e["event"] == "progress"]
 
 
-def _retrying_runner(n_retries, barrier=None, rendezvous=None):
-    """A stub runner that injects exactly ``n_retries`` unit retries.
+def _double(payload):
+    return payload * 2
+
+
+def _mapping_runner(n_units, barrier=None, rendezvous=None):
+    """A stub runner that maps ``n_units`` units in process.
 
     ``barrier`` (same-process overlap) or ``rendezvous`` (a directory
     used as a cross-process barrier: touch my flag, wait for all flags)
-    makes two such runners demonstrably concurrent before the retries
-    happen.
+    makes two such runners demonstrably concurrent before their units
+    run.
     """
 
-    def runner(spec, resilience):
+    def runner(spec):
         if barrier is not None:
             barrier.wait(timeout=10)
         if rendezvous is not None:
@@ -72,57 +77,51 @@ def _retrying_runner(n_retries, barrier=None, rendezvous=None):
                 if time.monotonic() > deadline:
                     raise TimeoutError("rendezvous never completed")
                 time.sleep(0.01)
-        attempts = {"left": n_retries}
-
-        def flaky(payload):
-            if attempts["left"] > 0:
-                attempts["left"] -= 1
-                raise ValueError("transient")
-            return payload * 2
-
-        outcome = parallel_map_ex(
-            flaky, [1, 2], jobs=1,
-            policy=RetryPolicy(max_retries=max(1, n_retries), backoff=0.0),
-        )
-        assert outcome.results == [2, 4]
+        units = list(range(n_units))
+        assert parallel_map_ex(_double, units, jobs=1) == [
+            2 * unit for unit in units
+        ]
         return SimpleNamespace(report=make_report(title=spec.experiment))
 
     return runner
 
 
-class TestResilienceAttribution:
-    def test_concurrent_jobs_see_only_their_own_retries(
+def _assert_own_units(job, n_units):
+    """The job's event ring holds exactly its own ``n_units`` units."""
+    events = _unit_events(job)
+    assert [e["kind"] for e in events] == ["unit.done"] * n_units
+    assert [e["done"] for e in events] == list(range(1, n_units + 1))
+    assert {e["total"] for e in events} == {n_units}
+
+
+class TestProgressAttribution:
+    def test_jobs_see_only_their_own_units(
         self, register_experiment
     ):
-        # Two jobs overlap on two worker threads; one injects exactly two
-        # retries, the other none.  With the per-thread ledger each job's
-        # resilience event carries precisely its own counts — the shared
-        # module-global log used to let them leak into each other.
+        # Two jobs overlap on two worker threads, mapping 3 and 5 units.
+        # Progress listeners are per thread, so each job's event ring
+        # carries exactly its own unit completions.
         barrier = threading.Barrier(2)
         register_experiment(
-            "svc-retry", runner=_retrying_runner(2, barrier=barrier)
+            "svc-three", runner=_mapping_runner(3, barrier=barrier)
         )
         register_experiment(
-            "svc-clean", runner=_retrying_runner(0, barrier=barrier)
+            "svc-five", runner=_mapping_runner(5, barrier=barrier)
         )
         queue, store = JobQueue(), ResultStore()
         scheduler = Scheduler(queue, store, workers=2, poll_interval=0.02)
         scheduler.start()
         try:
-            noisy, _ = queue.submit(JobSpec("svc-retry"))
-            clean, _ = queue.submit(JobSpec("svc-clean"))
-            _wait_terminal(noisy)
-            _wait_terminal(clean)
+            three, _ = queue.submit(JobSpec("svc-three"))
+            five, _ = queue.submit(JobSpec("svc-five"))
+            _wait_terminal(three)
+            _wait_terminal(five)
         finally:
             scheduler.stop()
-        assert noisy.state is JobState.DONE
-        assert clean.state is JobState.DONE
-        noisy_events = _resilience_events(noisy)
-        assert len(noisy_events) == 1
-        assert noisy_events[0]["retries"] == 2
-        assert noisy_events[0]["failures"] == 0
-        # The clean job must not inherit the other job's recoveries.
-        assert _resilience_events(clean) == []
+        assert three.state is JobState.DONE
+        assert five.state is JobState.DONE
+        _assert_own_units(three, 3)
+        _assert_own_units(five, 5)
 
 
 class TestStopAndHeartbeatHygiene:
@@ -158,7 +157,7 @@ class TestStopAndHeartbeatHygiene:
     ):
         release = threading.Event()
 
-        def blocker(spec, resilience):
+        def blocker(spec):
             release.wait(30)
             return SimpleNamespace(report=make_report("blocker"))
 
@@ -198,7 +197,7 @@ class TestProcessExecutor:
         # The stub is registered before start(), so the forked pool
         # workers inherit it; the pid baked into the report proves the
         # job really left this process.
-        def runner(spec, resilience):
+        def runner(spec):
             return SimpleNamespace(
                 report=make_report(title="svc-proc", block=f"pid={os.getpid()}")
             )
@@ -220,20 +219,22 @@ class TestProcessExecutor:
         worker_pid = int(payload["report"].split("pid=")[1].split()[0])
         assert worker_pid != os.getpid()
 
-    def test_concurrent_process_jobs_attribute_retries(
+    def test_process_jobs_see_only_their_own_units(
         self, register_experiment, tmp_path
     ):
         # Cross-process rendezvous: each job touches its flag and waits
-        # for both, so the retries provably happen while the other job
-        # is in flight — in a different worker process.
+        # for both, so the units provably run while the other job is in
+        # flight — in a different worker process.  Their progress
+        # crosses the process boundary through the executor's queue and
+        # lands on the right job's event ring.
         flags = [str(tmp_path / "a.flag"), str(tmp_path / "b.flag")]
         register_experiment(
-            "svc-proc-retry",
-            runner=_retrying_runner(2, rendezvous=(flags[0], flags)),
+            "svc-proc-three",
+            runner=_mapping_runner(3, rendezvous=(flags[0], flags)),
         )
         register_experiment(
-            "svc-proc-clean",
-            runner=_retrying_runner(0, rendezvous=(flags[1], flags)),
+            "svc-proc-five",
+            runner=_mapping_runner(5, rendezvous=(flags[1], flags)),
         )
         queue, store = JobQueue(), ResultStore()
         scheduler = Scheduler(
@@ -241,31 +242,77 @@ class TestProcessExecutor:
         )
         scheduler.start()
         try:
-            noisy, _ = queue.submit(JobSpec("svc-proc-retry"))
-            clean, _ = queue.submit(JobSpec("svc-proc-clean"))
-            _wait_terminal(noisy)
-            _wait_terminal(clean)
+            three, _ = queue.submit(JobSpec("svc-proc-three"))
+            five, _ = queue.submit(JobSpec("svc-proc-five"))
+            _wait_terminal(three)
+            _wait_terminal(five)
         finally:
             scheduler.stop()
-        assert noisy.state is JobState.DONE
-        assert clean.state is JobState.DONE
-        noisy_events = _resilience_events(noisy)
-        assert len(noisy_events) == 1
-        assert noisy_events[0]["retries"] == 2
-        assert _resilience_events(clean) == []
-        # Progress events crossed the process boundary: the fan-out's
-        # unit milestones (and the injected retries) reached the job's
-        # event ring through the executor's queue.
-        kinds = [
-            e.get("kind") for e in noisy.events if e["event"] == "progress"
-        ]
-        assert "unit.retry" in kinds
-        assert "unit.done" in kinds
+        assert three.state is JobState.DONE
+        assert five.state is JobState.DONE
+        _assert_own_units(three, 3)
+        _assert_own_units(five, 5)
+
+    def test_dead_worker_job_reruns_in_process_on_a_rebuilt_pool(
+        self, register_experiment, tmp_path
+    ):
+        # The one recovery level the executor keeps: a worker that dies
+        # mid-job breaks the pool; the pool is rebuilt and the job
+        # re-runs whole in the scheduler's process.
+        flag = str(tmp_path / "died.flag")
+        parent = os.getpid()
+
+        def die_once(spec):
+            if os.getpid() != parent and not os.path.exists(flag):
+                with open(flag, "w") as fh:
+                    fh.write(str(os.getpid()))
+                os._exit(17)
+            return SimpleNamespace(report=make_report(title="svc-die"))
+
+        def whoami(spec):
+            return SimpleNamespace(
+                report=make_report(title="svc-pid", block=f"pid={os.getpid()}")
+            )
+
+        register_experiment("svc-die", runner=die_once)
+        register_experiment("svc-pid", runner=whoami)
+        telemetry.reset()
+        telemetry.enable()
+        queue, store = JobQueue(), ResultStore()
+        scheduler = Scheduler(
+            queue, store, workers=1, poll_interval=0.02, executor="process"
+        )
+        scheduler.start()
+        try:
+            job, _ = queue.submit(JobSpec("svc-die"))
+            _wait_terminal(job)
+            second, _ = queue.submit(JobSpec("svc-pid"))
+            _wait_terminal(second)
+        finally:
+            scheduler.stop()
+        assert job.state is JobState.DONE, job.error
+        assert os.path.exists(flag), "the worker never died"
+        spec = JobSpec("svc-die").validate()
+        assert store.get(job.address) == result_payload(
+            spec, die_once(spec)
+        )
+        counters = telemetry.get_metrics().snapshot()["counters"]
+        assert counters.get("service.executor.pool_breaks") == 1
+        assert counters.get("service.executor.fallbacks") == 1
+        kinds = [e.get("kind") for e in _unit_events(job)]
+        assert kinds == ["executor.pool-broken", "executor.fallback"]
+        # The next job runs in a worker of the rebuilt pool.
+        assert second.state is JobState.DONE
+        report = store.get(second.address)["report"]
+        pid = int(report.split("pid=")[1].split()[0])
+        with open(flag) as fh:
+            dead = int(fh.read())
+        assert pid not in (parent, dead)
 
     def test_error_type_crosses_the_process_boundary(
         self, register_experiment
     ):
-        def exploding(spec, resilience):
+        def exploding(spec):
             raise RuntimeError("kapow")
 
         register_experiment("svc-proc-boom", runner=exploding)
@@ -300,7 +347,7 @@ class TestExecutorEquivalence:
         spec = JobSpec("table1", opens=("CELL",), n_r=3, n_u=3).validate()
         profile = spec.profile()
         direct = json.dumps(
-            result_payload(spec, profile.run(spec, Resilience())),
+            result_payload(spec, profile.run(spec)),
             sort_keys=True,
         )
         served = {}

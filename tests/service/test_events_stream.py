@@ -19,7 +19,7 @@ def _service(**kwargs):
 
 
 def _slow_runner(delay):
-    def runner(spec, resilience):
+    def runner(spec):
         time.sleep(delay)
         return SimpleNamespace(report=make_report(title="slow"))
     return runner

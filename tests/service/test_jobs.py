@@ -53,9 +53,9 @@ class TestContentAddress:
         )
         spec = JobSpec(name)
         profile = SERVICE_EXPERIMENTS[name]
-        profile.run(replace(spec, grid_engine=False), None)
-        profile.run(spec, None)
-        profile.run(replace(spec, jobs=2), None)
+        profile.run(replace(spec, grid_engine=False))
+        profile.run(spec)
+        profile.run(replace(spec, jobs=2))
         assert seen == [
             {"grid_engine": False, "jobs": 1},
             {"grid_engine": True, "jobs": 1},

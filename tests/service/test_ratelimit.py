@@ -202,7 +202,7 @@ class TestQuotaOverHTTP:
     ):
         release = threading.Event()
 
-        def blocker(spec, resilience):
+        def blocker(spec):
             release.wait(15)
             return SimpleNamespace(report=make_report("blocker"))
 

@@ -10,7 +10,7 @@ Three layers, cheapest first:
   restart on the same port without losing the job;
 * subprocess (``slow``): ``serve`` is SIGKILLed mid-Table-1 via
   :class:`repro.inject.ProcessKiller`, restarted on the same
-  ``--work-dir``, and must finish the journaled job *without
+  ``--work-dir``, and must re-run the journaled job whole *without
   resubmission*, byte-identical to an uninterrupted served run — for
   both the thread and the process executor.
 """
@@ -406,7 +406,7 @@ class TestClientRetry:
         """
         wedge = threading.Event()
 
-        def wedged_runner(spec, resilience):
+        def wedged_runner(spec):
             wedge.wait(30)
             raise RuntimeError("wedged runner should never finish")
 
@@ -502,10 +502,11 @@ def test_sigkill_mid_table1_resumes_byte_identical(
 ):
     """The acceptance criterion: SIGKILL mid-run costs nothing but time.
 
-    A served coarse Table 1 sweep is SIGKILLed after its first unit
-    checkpoints, the service restarts on the same ``--work-dir``, and
-    the journaled job must finish *without resubmission* with a payload
-    byte-identical to an uninterrupted served run's.
+    A served coarse Table 1 sweep is SIGKILLed once it is running (its
+    first unit has finished), the service restarts on the same
+    ``--work-dir``, and the journaled job must re-run and finish
+    *without resubmission* with a payload byte-identical to an
+    uninterrupted served run's.
     """
     repo = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
@@ -518,28 +519,29 @@ def test_sigkill_mid_table1_resumes_byte_identical(
     ]
 
     process, url = _start_serve(serve_argv, repo)
+    client = ServiceClient(url)
     try:
-        client = ServiceClient(url)
         job_id = client.submit(spec)["job"]["id"]
-        # Let at least one sweep unit checkpoint, then pull the plug.
+        # Let the first sweep unit finish, then pull the plug.
         deadline = time.monotonic() + 30
-        ckpt = None
-        while time.monotonic() < deadline:
-            names = [n for n in os.listdir(work_dir)
-                     if n.endswith(".ckpt")]
-            if names:
-                ckpt = os.path.join(work_dir, names[0])
-                if os.path.getsize(ckpt) > 0:
-                    break
-            time.sleep(0.01)
-        assert ckpt is not None and os.path.getsize(ckpt) > 0
+        after, running = 0, False
+        while not running and time.monotonic() < deadline:
+            page = client.events(job_id, after=after, wait=1.0)
+            after = page["next"]
+            running = any(
+                event.get("kind") == "unit.done" for event in page["events"]
+            )
+        assert running, "the job never finished a unit"
         killer = ProcessKiller(process.pid, sig=signal.SIGKILL)
         killer.arm()
         assert killer.fires == 1
         process.wait(timeout=10)
     finally:
+        client.close()
         if process.poll() is None:
             process.kill()
+            process.wait(timeout=10)
+        process.stdout.close()
 
     # The journal must still hold the in-flight job.
     entries = JobJournal(os.path.join(work_dir, "jobs.journal")).replay()
@@ -547,11 +549,14 @@ def test_sigkill_mid_table1_resumes_byte_identical(
     assert entries[0].in_flight
 
     process, url = _start_serve(serve_argv, repo)
+    client = ServiceClient(url)
     try:
-        resumed = _wait_done(ServiceClient(url), job_id)
+        resumed = _wait_done(client, job_id)
     finally:
+        client.close()
         process.terminate()
         process.wait(timeout=30)
+        process.stdout.close()
 
     # After completion the journal replays empty: the job settled.
     assert JobJournal(
@@ -565,13 +570,15 @@ def test_sigkill_mid_table1_resumes_byte_identical(
         "--executor", executor,
     ]
     process, url = _start_serve(baseline_argv, repo)
+    client = ServiceClient(url)
     try:
-        client = ServiceClient(url)
         baseline_id = client.submit(spec)["job"]["id"]
         baseline = _wait_done(client, baseline_id)
     finally:
+        client.close()
         process.terminate()
         process.wait(timeout=30)
+        process.stdout.close()
 
     assert json.dumps(resumed, sort_keys=True) == json.dumps(
         baseline, sort_keys=True

@@ -1,6 +1,5 @@
 """Scheduler workers: execution, cache hits, failures, cancellation."""
 
-import os
 import threading
 import time
 from types import SimpleNamespace
@@ -96,7 +95,7 @@ class TestExecution:
         assert store.get(job2.address) is not None
 
     def test_failure_settles_failed_with_error(self, rig, register_experiment):
-        def exploding(spec, resilience):
+        def exploding(spec):
             raise RuntimeError("solver exploded")
 
         register_experiment("svc-boom", runner=exploding)
@@ -109,7 +108,7 @@ class TestExecution:
         assert rig.store.get(job.address) is None
 
     def test_worker_survives_failures(self, rig, register_experiment):
-        def exploding(spec, resilience):
+        def exploding(spec):
             raise RuntimeError("boom")
 
         register_experiment("svc-boom2", runner=exploding)
@@ -125,7 +124,7 @@ class TestCancellation:
     def test_cancel_running_job_is_honoured(self, rig, register_experiment):
         release = threading.Event()
 
-        def slow(spec, resilience):
+        def slow(spec):
             release.wait(10)
             return SimpleNamespace(report=make_report("slow"))
 
@@ -140,49 +139,6 @@ class TestCancellation:
         # The computed result is still valid and content-addressed, so
         # it is published even though the job settles cancelled.
         assert rig.store.get(job.address) is not None
-
-
-class TestResilienceWiring:
-    def test_checkpoint_is_per_address_under_work_dir(
-        self, tmp_path, register_experiment
-    ):
-        seen = {}
-
-        def capture(spec, resilience):
-            seen["checkpoint"] = resilience.checkpoint
-            return SimpleNamespace(report=make_report("cap"))
-
-        register_experiment("svc-ckpt", runner=capture)
-        queue, store = JobQueue(), ResultStore()
-        work_dir = str(tmp_path / "work")
-        scheduler = Scheduler(
-            queue, store, work_dir=work_dir, poll_interval=0.02
-        )
-        scheduler.start()
-        try:
-            job, _ = queue.submit(JobSpec("svc-ckpt"))
-            _wait_terminal(job)
-        finally:
-            scheduler.stop()
-        checkpoint = seen["checkpoint"]
-        assert checkpoint is not None
-        assert checkpoint.path == os.path.join(
-            work_dir, job.address + ".ckpt"
-        )
-        # Success removes the unit checkpoint: the result is in the store.
-        assert not os.path.exists(checkpoint.path)
-
-    def test_no_work_dir_means_no_checkpoint(self, rig, register_experiment):
-        seen = {}
-
-        def capture(spec, resilience):
-            seen["checkpoint"] = resilience.checkpoint
-            return SimpleNamespace(report=make_report("cap"))
-
-        register_experiment("svc-nockpt", runner=capture)
-        job, _ = rig.queue.submit(JobSpec("svc-nockpt"))
-        _wait_terminal(job)
-        assert seen["checkpoint"] is None
 
 
 class TestLifecycle:

@@ -68,7 +68,7 @@ class TestBackpressureOverHTTP:
     def test_full_queue_is_a_structured_429(self, register_experiment):
         release = threading.Event()
 
-        def blocker(spec, resilience):
+        def blocker(spec):
             release.wait(10)
             return SimpleNamespace(report=make_report("blocker"))
 
@@ -149,7 +149,7 @@ class TestErrorsOverHTTP:
             assert err.value.payload["error"] == "invalid-spec"
 
     def test_result_before_done_is_409(self, register_experiment):
-        def exploding(spec, resilience):
+        def exploding(spec):
             raise RuntimeError("boom")
 
         register_experiment("svc-fail", runner=exploding)

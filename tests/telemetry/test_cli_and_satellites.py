@@ -73,7 +73,7 @@ class TestCLIFlags:
                 result.report = report
                 return result
 
-            return lambda jobs, res, gp, mg, ge: runner()
+            return lambda jobs, gp, mg, ge: runner()
 
         monkeypatch.setattr(
             cli, "_EXPERIMENTS",
@@ -107,7 +107,7 @@ class TestCLIGuardFlags:
 
         seen = {}
 
-        def runner(jobs, res, gp, mg, ge):
+        def runner(jobs, gp, mg, ge):
             seen["policy"] = gp
             report = ExperimentReport("fake fig3")
             report.claim("c", "p", "m", True)
@@ -127,7 +127,7 @@ class TestCLIGuardFlags:
         assert "[guards] fig3: policy=quarantine, 1 grid point(s)" in out
 
     def test_without_guard_flags_no_guards_line(self, capsys, monkeypatch):
-        def runner(jobs, res, gp, mg, ge):
+        def runner(jobs, gp, mg, ge):
             report = ExperimentReport("fake fig3")
             report.claim("c", "p", "m", True)
             return report
@@ -143,7 +143,7 @@ class TestCLIGuardFlags:
     def test_invalid_spec_exits_2_with_one_line(self, capsys, monkeypatch):
         from repro.errors import SpecValidationError
 
-        def runner(jobs, res, gp, mg, ge):
+        def runner(jobs, gp, mg, ge):
             raise SpecValidationError("SweepGrid", "r_max", 1.0, ">= r_min")
 
         self._fake(monkeypatch, runner)
@@ -155,7 +155,7 @@ class TestCLIGuardFlags:
     def test_solver_divergence_exits_3(self, capsys, monkeypatch):
         from repro.errors import SolverDivergenceError
 
-        def runner(jobs, res, gp, mg, ge):
+        def runner(jobs, gp, mg, ge):
             raise SolverDivergenceError("nan", "non-finite node voltage")
 
         self._fake(monkeypatch, runner)

@@ -17,7 +17,6 @@ from repro.circuit.defects import OpenDefect, OpenLocation
 from repro.circuit.technology import Technology, default_technology
 from repro.core.analysis import SweepGrid
 from repro.errors import (
-    CheckpointMismatchError,
     InjectionError,
     QuarantinedPointError,
     ReproError,
@@ -33,7 +32,6 @@ class TestTaxonomy:
             SpecValidationError,
             SolverDivergenceError,
             QuarantinedPointError,
-            CheckpointMismatchError,
             InjectionError,
         ):
             assert issubclass(exc_type, ReproError)
@@ -58,14 +56,6 @@ class TestTaxonomy:
         assert err.guard == "rail"
         assert err.context["phase"] == "sense"
         assert "rail" in str(err) and "phase=sense" in str(err)
-
-    def test_checkpoint_mismatch_names_both_signatures(self):
-        err = CheckpointMismatchError(
-            "/tmp/store.jsonl", "r16u12", "r4u3", "survey|CELL|..."
-        )
-        text = str(err)
-        assert "/tmp/store.jsonl" in text
-        assert "r16u12" in text and "r4u3" in text
 
 
 class TestTechnologyValidate:

@@ -11,19 +11,17 @@ from repro.core.fault_primitives import parse_fp
 from repro.core.ffm import FFM
 from repro.core.regions import FPRegionMap
 from repro.io import (
-    CHECKPOINT_CODECS,
     CheckpointStore,
+    JsonlAppender,
     dump_finding,
     dump_fp,
     dump_march,
-    dump_open_inventory,
     dump_region_map,
     dump_signature_database,
     dumps_march,
     load_finding,
     load_fp,
     load_march,
-    load_open_inventory,
     load_region_map,
     load_signature_database,
     loads_march,
@@ -169,29 +167,6 @@ class TestCheckpointCodecs:
         assert recovered.labels[0][1] is QUARANTINED
         assert recovered == region
 
-    def test_table1_open_roundtrip(self):
-        from repro.experiments.table1 import InventoryRow
-
-        rows = [
-            InventoryRow(
-                FFM.RDF0, FFM.RDF1, 1, parse_fp("<[w1 w0] r0/1/1>"),
-                "Memory cell", marginal=2,
-            ),
-            InventoryRow(FFM.SF0, FFM.SF1, 1, None, "Memory cell"),
-        ]
-        point = self._quarantined_point()
-        data = json.loads(json.dumps(dump_open_inventory((rows, [point]))))
-        recovered_rows, quarantined = load_open_inventory(data)
-        assert recovered_rows == rows
-        assert recovered_rows[1].completed_text == "Not possible"
-        assert quarantined == [point]
-
-    def test_codec_table_is_consistent(self):
-        for name, (dump, load) in CHECKPOINT_CODECS.items():
-            assert callable(dump) and callable(load), name
-        assert set(CHECKPOINT_CODECS) == {"json", "table1-open"}
-
-
 class TestCheckpointStore:
     def test_record_then_load(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
@@ -201,15 +176,6 @@ class TestCheckpointStore:
         assert CheckpointStore(path).load() == {
             "alpha": True, "beta": [1, 2.5, "x"],
         }
-
-    def test_table1_open_codec(self, tmp_path):
-        from repro.experiments.table1 import InventoryRow
-
-        result = ([InventoryRow(FFM.SF0, FFM.SF1, 1, None, "Memory cell")], [])
-        path = str(tmp_path / "store.jsonl")
-        with CheckpointStore(path) as store:
-            store.record("open", result, codec="table1-open")
-        assert CheckpointStore(path).load() == {"open": result}
 
     def test_duplicate_keys_last_wins(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
@@ -228,16 +194,39 @@ class TestCheckpointStore:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not json at all\n")
             fh.write('{"format": "other", "kind": "checkpoint-unit", '
-                     '"key": "x", "codec": "json", "payload": 1}\n')
-            fh.write('{"format": "repro-v1", "kind": "checkpoint-unit", '
-                     '"key": "y", "codec": "martian", "payload": 1}\n')
+                     '"key": "x", "payload": 1}\n')
+            fh.write('{"format": "repro-v1", "kind": "job-journal", '
+                     '"key": "y", "payload": 1}\n')
             fh.write('{"format": "repro-v1", "kind": "checkpo')  # torn tail
         assert CheckpointStore(path).load() == {"good": 7}
 
-    def test_unknown_codec_on_record_raises(self, tmp_path):
-        store = CheckpointStore(str(tmp_path / "store.jsonl"))
-        with pytest.raises(KeyError):
-            store.record("k", 1, codec="martian")
+
+class TestJsonlAppender:
+    """A record starts on a fresh line exactly when the file's last line
+    is torn."""
+
+    def test_first_append_after_a_torn_tail_starts_a_fresh_line(
+        self, tmp_path
+    ):
+        path = tmp_path / "torn.jsonl"
+        path.write_bytes(b'{"a": 1}\n{"b"')
+        with JsonlAppender(str(path)) as appender:
+            appender.append({"c": 3})
+            appender.append({"d": 4})
+        assert path.read_bytes() == (
+            b'{"a": 1}\n{"b"\n{"c": 3}\n{"d": 4}\n'
+        )
+
+    def test_whole_or_empty_files_get_no_extra_newline(self, tmp_path):
+        whole = tmp_path / "whole.jsonl"
+        whole.write_bytes(b'{"a": 1}\n')
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        for path in (whole, empty, tmp_path / "new.jsonl"):
+            before = path.read_bytes() if path.exists() else b""
+            with JsonlAppender(str(path)) as appender:
+                appender.append({"c": 3})
+            assert path.read_bytes() == before + b'{"c": 3}\n'
 
 
 class TestCheckpointConcurrentWriters:
