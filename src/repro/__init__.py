@@ -22,9 +22,6 @@ Quickstart::
     assert detects(MARCH_PF_PLUS, outcome.completed_fp, Topology(4, 2))
 """
 
-from .bist.controller import BistController, BistResult
-from .bist.microcode import MicroProgram, compile_march, decompile
-from .bist.repair import RepairSolution, allocate_repair
 from .circuit.bridges import BridgeDefect, BridgeLocation
 from .circuit.calibration import CalibrationResult, calibrate_to_paper
 from .circuit.column import DRAMColumn
@@ -93,15 +90,8 @@ from .march.simulator import (
     run_march,
 )
 from .memory.array import MemoryArray, Topology
-from .memory.address_faults import AddressFaultKind, AddressFaultMemory
 from .memory.coupling_machine import CouplingFault
 from .memory.fault_machine import BehavioralFault, DataRetentionFault, NodeKind
-from .memory.word_memory import (
-    WordMemory,
-    detects_word_fault,
-    run_word_march,
-    standard_backgrounds,
-)
 from .memory.simulator import ElectricalMemory, FaultyMemory
 from .parallel import AnalyzerSpec
 
@@ -110,11 +100,7 @@ from . import telemetry
 __version__ = "1.0.0"
 
 __all__ = [
-    "AddressFaultKind",
-    "AddressFaultMemory",
     "BehavioralFault",
-    "BistController",
-    "BistResult",
     "BridgeDefect",
     "BridgeFaultAnalyzer",
     "CalibrationResult",
@@ -128,13 +114,8 @@ __all__ = [
     "equivalence_class",
     "IFA_13",
     "MarchPause",
-    "MicroProgram",
-    "RepairSolution",
-    "allocate_repair",
     "canonical_coupling_fp",
     "classify_two_cell_fp",
-    "compile_march",
-    "decompile",
     "detects_coupling",
     "AnalyzerSpec",
     "ColumnFaultAnalyzer",
@@ -167,10 +148,6 @@ __all__ = [
     "Technology",
     "telemetry",
     "Topology",
-    "WordMemory",
-    "detects_word_fault",
-    "run_word_march",
-    "standard_backgrounds",
     "ALL_TESTS",
     "BASELINE_TESTS",
     "MARCH_C_MINUS",

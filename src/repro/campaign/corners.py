@@ -6,7 +6,8 @@ supply voltage sets the signal margins, junction temperature sets the
 leakage that discharges floating nodes, and the cycle time sets how far
 a slow RC transient gets within each phase.  A *corner matrix* is the
 cross product of a few such stress axes, in the spirit of industrial
-stress-condition test evaluation (Schanstra & van de Goor, ITC 1999):
+stress-condition test evaluation (Majhi et al., "Memory Testing Under
+Different Stress Conditions: An Industrial Evaluation", arXiv 0710.4693):
 every corner is one operating point, expanded into a concrete
 :class:`~repro.circuit.technology.Technology` variant and from there
 into a distinct content-addressed

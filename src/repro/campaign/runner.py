@@ -81,7 +81,6 @@ class CampaignConfig:
         default_factory=lambda: PartiallyStuckAtCode(8)
     )
     service_url: Optional[str] = None
-    client_id: Optional[str] = None
     priority: int = 0
     timeout: Optional[float] = 600.0
     checkpoint_path: Optional[str] = None
@@ -148,9 +147,7 @@ def _execute_service(
     """Submit one corner job to the live service and await its payload."""
     from ..service.client import ServiceClient
 
-    client = ServiceClient(
-        config.service_url, client_id=config.client_id
-    )
+    client = ServiceClient(config.service_url)
     try:
         _record, payload = client.submit_and_wait(
             spec, priority=config.priority, timeout=config.timeout

@@ -238,20 +238,6 @@ def _serve_main(argv) -> int:
         "in a worker process (default thread)",
     )
     parser.add_argument(
-        "--rate-limit", type=float, default=None, metavar="RATE",
-        help="per-client token-bucket submission limit in jobs/second, "
-        "keyed on the X-Client-Id header (default: unlimited)",
-    )
-    parser.add_argument(
-        "--rate-burst", type=int, default=None, metavar="N",
-        help="token-bucket burst size (default: max(1, int(RATE)))",
-    )
-    parser.add_argument(
-        "--client-quota", type=int, default=None, metavar="N",
-        help="max live (queued + running) jobs one client may own "
-        "(default: unlimited)",
-    )
-    parser.add_argument(
         "--store-dir", metavar="DIR", default=None,
         help="persist results under DIR (default: in-memory only)",
     )
@@ -296,14 +282,6 @@ def _serve_main(argv) -> int:
         parser.error("--store-max must be >= 1")
     if args.store_ttl is not None and args.store_ttl <= 0:
         parser.error("--store-ttl must be > 0")
-    if args.rate_limit is not None and args.rate_limit <= 0:
-        parser.error("--rate-limit must be > 0")
-    if args.rate_burst is not None and args.rate_burst < 1:
-        parser.error("--rate-burst must be >= 1")
-    if args.rate_burst is not None and args.rate_limit is None:
-        parser.error("--rate-burst requires --rate-limit")
-    if args.client_quota is not None and args.client_quota < 1:
-        parser.error("--client-quota must be >= 1")
     if args.drain_timeout < 0:
         parser.error("--drain-timeout must be >= 0")
     for path in (args.trace, args.log_json):
@@ -326,9 +304,6 @@ def _serve_main(argv) -> int:
             work_dir=args.work_dir,
             trace_export=args.trace,
             executor=args.executor,
-            rate_limit=args.rate_limit,
-            rate_burst=args.rate_burst,
-            client_quota=args.client_quota,
             drain_timeout=args.drain_timeout,
         )
     except OSError as exc:
@@ -349,14 +324,6 @@ def _serve_main(argv) -> int:
     if service.recovered_jobs:
         print(f"[serve] recovered {service.recovered_jobs} job(s) from "
               f"the journal ({service.recovered_in_flight} mid-run)",
-              flush=True)
-    if args.rate_limit is not None:
-        burst = (args.rate_burst if args.rate_burst is not None
-                 else max(1, int(args.rate_limit)))
-        print(f"[serve] rate limit {args.rate_limit:g} submission(s)/s "
-              f"per client (burst {burst})", flush=True)
-    if args.client_quota is not None:
-        print(f"[serve] client quota {args.client_quota} live job(s)",
               flush=True)
     if args.trace:
         print(f"[serve] appending span trace to {args.trace}", flush=True)
@@ -527,12 +494,6 @@ def _submit_main(argv) -> int:
         "--json", metavar="FILE", default=None,
         help="with --wait: also write the full result payload to FILE",
     )
-    parser.add_argument(
-        "--client-id", metavar="ID", default=None,
-        help="identify this client to the service's rate limiter and "
-        "quota (sent as the X-Client-Id header; default: none, the "
-        "service falls back to the remote address)",
-    )
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -556,7 +517,7 @@ def _submit_main(argv) -> int:
         print(f"repro-partial-faults submit: invalid spec: {exc}",
               file=sys.stderr)
         return 2
-    client = ServiceClient(url, client_id=args.client_id)
+    client = ServiceClient(url)
     try:
         submitted = client.submit(spec, priority=args.priority)
         job = submitted["job"]
@@ -672,10 +633,6 @@ def _campaign_main(argv) -> int:
         "instead of executing in-process",
     )
     run_parser.add_argument(
-        "--client-id", metavar="ID", default=None,
-        help="X-Client-Id sent with every service submission",
-    )
-    run_parser.add_argument(
         "--priority", type=int, default=0, metavar="P",
         help="service queue priority (default 0)",
     )
@@ -763,7 +720,6 @@ def _campaign_main(argv) -> int:
             jobs=args.jobs,
             corner_jobs=args.corner_jobs,
             service_url=args.service_url,
-            client_id=args.client_id,
             priority=args.priority,
             timeout=args.timeout,
             checkpoint_path=checkpoint_path,

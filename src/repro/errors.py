@@ -27,7 +27,6 @@ __all__ = [
     "QuarantinedPointError",
     "InjectionError",
     "QueueFullError",
-    "ClientQuotaError",
 ]
 
 
@@ -110,28 +109,4 @@ class QueueFullError(ReproError):
         super().__init__(
             f"job queue is full ({depth}/{limit} queued); retry in "
             f"{retry_after:g} s or raise the queue limit"
-        )
-
-
-class ClientQuotaError(ReproError):
-    """The sweep service refused a submission: the client's job quota.
-
-    Raised by the queue's admission control when one client already owns
-    ``quota`` live (queued or running) jobs — the HTTP API maps it to a
-    structured ``429`` with ``Retry-After``, exactly like
-    :class:`QueueFullError`, but scoped to the offending client instead
-    of the whole queue.
-    """
-
-    def __init__(
-        self, client: str, live: int, quota: int, retry_after: float = 1.0
-    ) -> None:
-        self.client = client
-        self.live = live
-        self.quota = quota
-        self.retry_after = retry_after
-        super().__init__(
-            f"client {client!r} already has {live} live job(s) "
-            f"(quota {quota}); wait for one to finish and retry in "
-            f"{retry_after:g} s"
         )

@@ -9,7 +9,8 @@ result-database / front-end split — see ``docs/SERVICE.md``):
   grids (``SweepGrid.signature()``), so identical submissions are the
   same computation;
 * :mod:`repro.service.queue` — a bounded priority :class:`JobQueue`
-  with dedup, 429-style admission control, and cancellation;
+  with dedup, backpressure (a structured ``queue-full`` 429 once
+  ``limit`` jobs are queued), and cancellation;
 * :mod:`repro.service.scheduler` — :class:`Scheduler` workers draining
   the queue into the strict ``repro.parallel`` fan-out;
 * :mod:`repro.service.executors` — the pluggable compute step:
@@ -33,7 +34,7 @@ Everything is stdlib-only (``http.server``, ``urllib``, ``threading``),
 matching the repository's no-new-dependency policy.
 """
 
-from .api import SweepService, TokenBucketLimiter
+from .api import SweepService
 from .client import (
     ServiceClient,
     ServiceError,
@@ -73,6 +74,5 @@ __all__ = [
     "ServiceUnavailableError",
     "SweepService",
     "ThreadJobExecutor",
-    "TokenBucketLimiter",
     "result_payload",
 ]

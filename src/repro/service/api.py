@@ -65,7 +65,7 @@ from urllib.parse import parse_qs, urlparse
 
 from .. import __version__, telemetry
 from ..circuit.network import ensemble_cache_info, propagator_cache_info
-from ..errors import ClientQuotaError, QueueFullError, SpecValidationError
+from ..errors import QueueFullError, SpecValidationError
 from ..telemetry import events as event_log
 from ..telemetry import exposition
 from .jobs import JobSpec, JobState
@@ -74,7 +74,7 @@ from .queue import JobQueue
 from .scheduler import Scheduler
 from .store import ResultStore
 
-__all__ = ["SweepService", "TokenBucketLimiter"]
+__all__ = ["SweepService"]
 
 _JSON = "application/json; charset=utf-8"
 _SSE = "text/event-stream; charset=utf-8"
@@ -111,54 +111,6 @@ def _merge_cache_stats(snapshot: Dict[str, Any]) -> None:
         counters[f"{prefix}.evictions"] = info.evictions
         gauges[f"{prefix}.currsize"] = info.currsize
         gauges[f"{prefix}.maxsize"] = info.maxsize
-
-
-class TokenBucketLimiter:
-    """Per-client token buckets over job submissions.
-
-    Each client (the ``X-Client-Id`` header, falling back to the remote
-    address) owns a bucket of ``burst`` tokens refilled at ``rate``
-    tokens per second; a submission spends one token.  An empty bucket
-    means 429 with ``Retry-After`` set to the seconds until the next
-    token accrues — the deterministic hint a well-behaved client sleeps
-    on.  Idle buckets are dropped once full so the table stays bounded
-    by the set of recently-active clients.
-    """
-
-    def __init__(self, rate: float, burst: int) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be > 0 tokens/second")
-        if burst < 1:
-            raise ValueError("burst must be >= 1 token")
-        self.rate = float(rate)
-        self.burst = int(burst)
-        self._lock = threading.Lock()
-        self._buckets: Dict[str, Tuple[float, float]] = {}  # tokens, stamp
-
-    def acquire(self, client: str) -> Optional[float]:
-        """Spend one token; ``None`` if granted, else seconds to wait."""
-        now = time.monotonic()
-        with self._lock:
-            tokens, stamp = self._buckets.get(client, (float(self.burst), now))
-            tokens = min(float(self.burst), tokens + (now - stamp) * self.rate)
-            if tokens >= 1.0:
-                self._buckets[client] = (tokens - 1.0, now)
-                self._prune(now)
-                return None
-            self._buckets[client] = (tokens, now)
-            return (1.0 - tokens) / self.rate
-
-    def _prune(self, now: float) -> None:
-        """Drop buckets that have refilled to full (lock held)."""
-        if len(self._buckets) < 1024:
-            return
-        for client, (tokens, stamp) in list(self._buckets.items()):
-            if tokens + (now - stamp) * self.rate >= self.burst:
-                del self._buckets[client]
-
-    def clients(self) -> int:
-        with self._lock:
-            return len(self._buckets)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -449,34 +401,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(frame.encode("utf-8"))
         self.wfile.flush()
 
-    def _client_id(self) -> str:
-        """The rate-limit/quota key: ``X-Client-Id``, else remote addr."""
-        header = (self.headers.get("X-Client-Id") or "").strip()
-        return header or self.client_address[0]
-
     def _submit(self, body: bytes) -> None:
-        client = self._client_id()
-        limiter = self.service.limiter
-        if limiter is not None:
-            retry_after = limiter.acquire(client)
-            if retry_after is not None:
-                telemetry.count("service.ratelimit.rejected")
-                self._send(
-                    429,
-                    {
-                        "error": "rate-limited",
-                        "client": client,
-                        "retry_after": round(retry_after, 3),
-                        "detail": (
-                            f"client {client!r} exceeded "
-                            f"{limiter.rate:g} submissions/s "
-                            f"(burst {limiter.burst})"
-                        ),
-                    },
-                    extra_headers={"Retry-After": f"{retry_after:.3f}"},
-                )
-                return
-            telemetry.count("service.ratelimit.allowed")
         try:
             if not body:
                 raise ValueError("empty request body")
@@ -500,25 +425,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": "invalid-spec", "detail": str(exc)})
             return
         try:
-            job, deduped = self.service.queue.submit(
-                spec, priority=priority, client=client
-            )
-        except ClientQuotaError as exc:
-            # Per-client backpressure: same contract as queue-full, but
-            # the client can free its own slot by waiting or cancelling.
-            self._send(
-                429,
-                {
-                    "error": "quota-exceeded",
-                    "detail": str(exc),
-                    "client": exc.client,
-                    "live": exc.live,
-                    "quota": exc.quota,
-                    "retry_after": exc.retry_after,
-                },
-                extra_headers={"Retry-After": f"{exc.retry_after:g}"},
-            )
-            return
+            job, deduped = self.service.queue.submit(spec, priority=priority)
         except QueueFullError as exc:
             # Backpressure: a structured 429 the client can act on.
             self._send(
@@ -653,9 +560,6 @@ class SweepService:
         enable_telemetry: bool = True,
         trace_export: Optional[str] = None,
         executor: str = "thread",
-        rate_limit: Optional[float] = None,
-        rate_burst: Optional[int] = None,
-        client_quota: Optional[int] = None,
         drain_timeout: float = 5.0,
     ) -> None:
         self.store = ResultStore(
@@ -679,7 +583,6 @@ class SweepService:
         self.queue = JobQueue(
             limit=queue_limit,
             result_exists=self.store.contains,
-            client_quota=client_quota,
             journal=self.journal,
         )
         self.scheduler = Scheduler(
@@ -689,13 +592,6 @@ class SweepService:
             trace_export=trace_export,
             executor=executor,
         )
-        self.limiter: Optional[TokenBucketLimiter] = None
-        if rate_limit is not None:
-            self.limiter = TokenBucketLimiter(
-                rate=rate_limit,
-                burst=rate_burst if rate_burst is not None
-                else max(1, int(rate_limit)),
-            )
         self.enable_telemetry = enable_telemetry
         self.started_at: Optional[float] = None
         self._httpd = _Server((host, port), _Handler)
@@ -802,7 +698,6 @@ class SweepService:
             self.queue.submit(
                 spec,
                 priority=entry.priority,
-                client=entry.client,
                 recovered=True,
                 job_id=entry.job,
             )
@@ -909,11 +804,4 @@ class SweepService:
                 "executor": self.scheduler.executor.kind,
                 "heartbeat_age_seconds": self.scheduler.heartbeats(),
             },
-            "ratelimit": (
-                None if self.limiter is None else {
-                    "rate": self.limiter.rate,
-                    "burst": self.limiter.burst,
-                    "clients": self.limiter.clients(),
-                }
-            ),
         }

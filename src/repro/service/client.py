@@ -111,7 +111,6 @@ class ServiceClient:
         self,
         url: str,
         timeout: float = 30.0,
-        client_id: Optional[str] = None,
         connect_retries: int = 5,
         retry_backoff: float = 0.5,
     ) -> None:
@@ -121,10 +120,6 @@ class ServiceClient:
             raise ValueError("retry_backoff must be > 0 seconds")
         self.url = url.rstrip("/")
         self.timeout = timeout
-        # Sent as ``X-Client-Id`` on every request so the service's
-        # rate limiter and per-client quota key on a stable identity
-        # instead of the (possibly shared) remote address.
-        self.client_id = client_id
         self.connect_retries = connect_retries
         self.retry_backoff = retry_backoff
         parts = urlsplit(self.url)
@@ -159,12 +154,6 @@ class ServiceClient:
 
     # -- transport -------------------------------------------------------------
 
-    def _headers(self, **extra: str) -> Dict[str, str]:
-        headers = dict(extra)
-        if self.client_id:
-            headers["X-Client-Id"] = self.client_id
-        return headers
-
     def _exchange(
         self,
         method: str,
@@ -178,7 +167,7 @@ class ServiceClient:
         was closed by the server since its last answer; the request is
         resent once on a fresh connection.
         """
-        headers = self._headers(Accept=accept)
+        headers = {"Accept": accept}
         if body is not None:
             headers["Content-Type"] = "application/json"
         for resend in (False, True):
@@ -309,10 +298,10 @@ class ServiceClient:
             try:
                 conn.request(
                     "GET", self._prefix + f"/jobs/{job_id}/events?stream=sse",
-                    headers=self._headers(**{
+                    headers={
                         "Accept": "text/event-stream",
                         "Last-Event-ID": str(int(after)),
-                    }),
+                    },
                 )
                 response = conn.getresponse()
                 if not 200 <= response.status < 300:

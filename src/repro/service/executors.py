@@ -77,8 +77,6 @@ class JobOutcome:
     traceback: Optional[str] = None
     metrics: Optional[Dict[str, Any]] = None
     trace_state: Optional[Dict[str, Any]] = None
-    #: True when a broken worker process forced an in-process re-run.
-    fallback: bool = False
 
     @property
     def failed(self) -> bool:
@@ -388,9 +386,7 @@ class ProcessJobExecutor:
         telemetry.count("service.executor.fallbacks")
         event_log.emit("service.executor.fallback", job=job.id)
         self.queue.emit(job, "progress", kind="executor.fallback")
-        outcome = self._fallback.run_job(job)
-        outcome.fallback = True
-        return outcome
+        return self._fallback.run_job(job)
 
     def _adopt(self, outcome: JobOutcome) -> None:
         """Fold the worker's telemetry home, under the job's open span."""

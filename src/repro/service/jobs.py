@@ -572,9 +572,6 @@ class Job:
     cancel_requested: bool = False
     #: Identical submissions coalesced into this job (>= 1).
     submissions: int = 1
-    #: The submitting client (``X-Client-Id`` header or remote address);
-    #: quota accounting counts live jobs per client.
-    client: Optional[str] = None
     #: True when the result came from the store without recomputation.
     cache_hit: bool = False
     #: True when this job was re-enqueued from the job journal after a
@@ -618,7 +615,6 @@ class Job:
             "finished_at": self.finished_at,
             "duration": self.duration,
             "submissions": self.submissions,
-            "client": self.client,
             "cache_hit": self.cache_hit,
             "recovered": self.recovered,
             "cancel_requested": self.cancel_requested,

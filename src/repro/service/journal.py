@@ -13,7 +13,7 @@ Record shapes (one JSON object per line)::
 
     {"format": "repro-v1", "kind": "job-journal", "op": "submit",
      "job": "<id>", "address": "<addr>", "spec": {...},
-     "priority": 0, "client": null, "recovered": false, "at": ...}
+     "priority": 0, "recovered": false, "at": ...}
     {... "op": "claim",  "job": "<id>"}
     {... "op": "cancel_request", "job": "<id>"}
     {... "op": "done",   "job": "<id>", "cache_hit": false}
@@ -29,7 +29,7 @@ asked of a running job) settles cancelled on recovery instead of
 running again.  Replay is tolerant the same way
 :class:`repro.io.CheckpointStore` loads are: torn lines, unknown ops,
 undecodable records, and terminal records for unknown jobs are skipped,
-never fatal.
+never fatal, and fields replay does not read are ignored.
 
 The journal is bounded by compaction: :meth:`compact` atomically
 rewrites the file to contain only the given live records (temp file +
@@ -73,7 +73,6 @@ class JournalEntry:
     address: str
     spec: Dict[str, Any]
     priority: int = 0
-    client: Optional[str] = None
     #: True when a ``claim`` record followed the ``submit`` — the job
     #: was running when the process died and re-runs whole.
     in_flight: bool = False
@@ -157,12 +156,11 @@ class JobJournal:
         address: str,
         spec: Dict[str, Any],
         priority: int = 0,
-        client: Optional[str] = None,
         recovered: bool = False,
     ) -> None:
         self.append(
             "submit", job=job, address=address, spec=spec,
-            priority=priority, client=client, recovered=recovered,
+            priority=priority, recovered=recovered,
         )
 
     def claim(self, job: str) -> None:
@@ -241,7 +239,6 @@ class JobJournal:
                         address=address,
                         spec=spec,
                         priority=record.get("priority") or 0,
-                        client=record.get("client"),
                         cancel_requested=(
                             earlier is not None and earlier.cancel_requested
                         ),
@@ -280,7 +277,7 @@ class JobJournal:
                 "format": _FORMAT, "kind": _KIND, "op": "submit",
                 "at": now, "job": entry.job, "address": entry.address,
                 "spec": entry.spec, "priority": entry.priority,
-                "client": entry.client, "recovered": False,
+                "recovered": False,
             })
             if running:
                 records.append({

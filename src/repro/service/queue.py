@@ -39,7 +39,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..errors import ClientQuotaError, QueueFullError
+from ..errors import QueueFullError
 from ..telemetry import events as event_log
 from .jobs import Job, JobSpec, JobState
 from .journal import JobJournal, JournalEntry
@@ -67,16 +67,12 @@ class JobQueue:
         limit: int = 64,
         max_history: int = 256,
         result_exists: Optional[Callable[[str], bool]] = None,
-        client_quota: Optional[int] = None,
         journal: Optional[JobJournal] = None,
     ) -> None:
         if limit < 1:
             raise ValueError("queue limit must be >= 1")
-        if client_quota is not None and client_quota < 1:
-            raise ValueError("client quota must be >= 1")
         self.limit = limit
         self.max_history = max_history
-        self.client_quota = client_quota
         self.journal = journal
         self._result_exists = result_exists
         self._lock = threading.Lock()
@@ -131,7 +127,6 @@ class JobQueue:
         self,
         spec: JobSpec,
         priority: int = 0,
-        client: Optional[str] = None,
         recovered: bool = False,
         job_id: Optional[str] = None,
     ) -> Tuple[Job, bool]:
@@ -140,16 +135,14 @@ class JobQueue:
         ``deduped=True`` means an identical live computation already
         existed and the submission coalesced into it (coalescing is
         always admitted — it adds no load).  Admission control refuses
-        with :class:`~repro.errors.ClientQuotaError` when ``client``
-        already owns ``client_quota`` live (queued or running) jobs,
-        and with :class:`~repro.errors.QueueFullError` when the whole
-        queue is full — and only then.
+        with :class:`~repro.errors.QueueFullError` once ``limit`` jobs
+        are queued, and only then.
 
         ``job_id`` pins the new job's id — journal recovery passes the
         journaled id so a client that submitted before the restart can
         keep polling the id it was given.  A ``recovered`` job was
         admitted before the crash: it neither coalesces nor meets the
-        client quota or the queue limit.
+        queue limit.
         """
         spec.validate()
         address = spec.address
@@ -177,21 +170,6 @@ class JobQueue:
                     submissions=existing.submissions,
                 )
                 return existing, True
-            quota = None if recovered else self.client_quota
-            if quota is not None and client is not None:
-                live = sum(
-                    1 for job in self._jobs.values()
-                    if job.client == client and not job.state.terminal
-                )
-                if live >= quota:
-                    telemetry.count("service.ratelimit.quota_rejections")
-                    event_log.emit(
-                        "service.job.quota_rejected",
-                        client=client, live=live, quota=quota,
-                    )
-                    raise ClientQuotaError(
-                        client=client, live=live, quota=quota
-                    )
             if self._queued >= self.limit and not recovered:
                 telemetry.count("service.jobs.rejected")
                 event_log.emit(
@@ -201,7 +179,7 @@ class JobQueue:
                 )
                 raise QueueFullError(depth=self._queued, limit=self.limit)
             job = Job(
-                spec=spec, address=address, priority=priority, client=client,
+                spec=spec, address=address, priority=priority,
                 recovered=recovered,
             )
             if job_id is not None and job_id not in self._jobs:
@@ -209,8 +187,7 @@ class JobQueue:
             job.emit("queued", address=address, priority=priority)
             self._journal_append(
                 "submit", job=job.id, address=address,
-                spec=spec.to_json(), priority=priority, client=client,
-                recovered=recovered,
+                spec=spec.to_json(), priority=priority, recovered=recovered,
             )
             self._jobs[job.id] = job
             self._by_address[address] = job.id
@@ -298,7 +275,6 @@ class JobQueue:
                         address=job.address,
                         spec=job.spec.to_json(),
                         priority=job.priority,
-                        client=job.client,
                         cancel_requested=job.cancel_requested,
                     ),
                     job.state is JobState.RUNNING,

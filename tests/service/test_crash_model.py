@@ -247,8 +247,8 @@ class CrashModel(RuleBasedStateMachine):
             blob = json.dumps({
                 "format": "repro-v1", "kind": "job-journal", "op": "submit",
                 "job": uuid.uuid4().hex[:12], "address": spec.address,
-                "spec": spec.to_json(), "priority": 0, "client": None,
-                "recovered": False, "at": 0.0,
+                "spec": spec.to_json(), "priority": 0, "recovered": False,
+                "at": 0.0,
             }).encode("utf-8")
             with open(self.service.journal.path, "ab") as fh:
                 fh.write(blob[: 1 + torn % (len(blob) - 1)])

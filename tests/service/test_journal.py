@@ -23,13 +23,12 @@ def journal(tmp_path):
 
 class TestReplay:
     def test_submit_without_terminal_is_pending(self, journal):
-        journal.submit("j1", "addr1", _spec_json(), priority=3,
-                       client="alice")
+        journal.submit("j1", "addr1", _spec_json(), priority=3)
         entries = journal.replay()
         assert len(entries) == 1
         entry = entries[0]
         assert entry.job == "j1" and entry.address == "addr1"
-        assert entry.priority == 3 and entry.client == "alice"
+        assert entry.priority == 3
         assert not entry.in_flight
 
     def test_claim_marks_in_flight(self, journal):

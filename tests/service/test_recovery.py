@@ -70,22 +70,29 @@ class TestInProcessRecovery:
         assert payload["address"] == job.address
         assert calls.count == 1
 
-    def test_record_with_retired_batch_u_key_recovers_with_same_id(
-        self, tmp_path, register_experiment
+    @pytest.mark.parametrize("retired", ["batch_u", "client"])
+    def test_retired_key_recovers_with_same_id(
+        self, tmp_path, register_experiment, retired
     ):
-        # A spec journaled before the batch_u switch was removed.
+        # A submit record as written before a key was retired: the
+        # removed batch-U engine's switch in the spec, or the removed
+        # per-client quota's client id on the record.
         calls = register_experiment("svc-recover")
         work_dir, _ = _dirs(tmp_path)
         os.makedirs(work_dir)
         spec = JobSpec(experiment="svc-recover")
-        journal = JobJournal(os.path.join(work_dir, "jobs.journal"))
-        try:
-            journal.submit(
-                "legacy-job", spec.address,
-                dict(spec.to_json(), batch_u=False),
-            )
-        finally:
-            journal.close()
+        record = {
+            "format": "repro-v1", "kind": "job-journal", "op": "submit",
+            "at": time.time(), "job": "legacy-job",
+            "address": spec.address, "spec": spec.to_json(),
+            "priority": 0, "client": None, "recovered": False,
+        }
+        if retired == "batch_u":
+            record["spec"]["batch_u"] = False
+        else:
+            record["client"] = "alice"
+        with open(os.path.join(work_dir, "jobs.journal"), "w") as fh:
+            fh.write(json.dumps(record) + "\n")
 
         with _quiet_service(tmp_path) as service:
             assert service.recovered_jobs == 1

@@ -2,17 +2,23 @@
 
 A store hit is two requests on one connection; a thread keeps its
 connection across calls, reopens it once when the server has closed it,
-and never shares it with another thread; ``SweepService.stop()`` ends
+and never shares it with another thread; an early answer leaves the
+connection in step for the next request; ``SweepService.stop()`` ends
 every connection's handler thread.
 """
 
+import http.client
+import json
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro import telemetry
 from repro.service import ServiceClient, SweepService, api
+
+from .conftest import make_report
 
 
 def _service(**kwargs):
@@ -143,6 +149,60 @@ def test_sequential_hits_do_not_stall_on_delayed_acks(register_experiment):
             client.submit_and_wait(spec, timeout=10)
         elapsed = time.perf_counter() - start
     assert elapsed < 0.5, f"20 hits took {elapsed:.3f} s"
+
+
+def test_early_answers_leave_a_kept_connection_in_step(register_experiment):
+    # The server reads each request's body before it answers, also for
+    # the queue-full 429 and the 404.  An unread body stays in the
+    # socket, and the next request on the connection is parsed from it
+    # (a 400 page).
+    started = threading.Event()
+    release = threading.Event()
+
+    def blocker(spec):
+        started.set()
+        release.wait(10)
+        return SimpleNamespace(report=make_report("blocker"))
+
+    register_experiment("svc-conn-hold", runner=blocker)
+    register_experiment("svc-conn-fill")
+    register_experiment("svc-conn-extra")
+    headers = {"Content-Type": "application/json"}
+    try:
+        with _service(queue_limit=1, workers=1) as service:
+            # A running job holds no admission slot: once the worker
+            # runs the held job, exactly one more may queue.
+            ServiceClient(service.url).submit({"experiment": "svc-conn-hold"})
+            assert started.wait(10)
+            conn = http.client.HTTPConnection(
+                service.host, service.port, timeout=10
+            )
+            answers = []
+            for method, path, experiment in (
+                ("POST", "/jobs", "svc-conn-fill"),
+                ("POST", "/jobs", "svc-conn-extra"),
+                ("GET", "/healthz", None),
+                ("POST", "/teapot", "svc-conn-extra"),
+                ("GET", "/healthz", None),
+            ):
+                body = (json.dumps({"experiment": experiment})
+                        if experiment else None)
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+                answers.append((
+                    response.status,
+                    response.getheader("Retry-After"),
+                    json.loads(response.read()),
+                ))
+            conn.close()
+            release.set()
+    finally:
+        release.set()
+    assert [status for status, _, _ in answers] == [202, 429, 200, 404, 200]
+    _, retry_after, rejected = answers[1]
+    assert rejected["error"] == "queue-full"
+    assert float(retry_after) == rejected["retry_after"] > 0
+    assert answers[2][2]["status"] == answers[4][2]["status"] == "ok"
 
 
 def test_stop_ends_the_handler_thread_of_a_kept_connection():

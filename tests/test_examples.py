@@ -22,7 +22,6 @@ def test_quickstart_runs_and_tells_the_story(capsys, monkeypatch):
 def test_examples_exist_and_are_documented():
     scripts = sorted(p.name for p in EXAMPLES.glob("*.py"))
     assert scripts == [
-        "bist_flow.py",
         "defect_characterization.py",
         "field_return_diagnosis.py",
         "march_test_screening.py",
